@@ -2,8 +2,8 @@
 //!
 //! 1. **strided fast path** — pack a vector (fast path) vs the identical
 //!    layout wrapped so `strided_form` cannot recognize it (generic walk);
-//! 2. **commit-time flattening** — pack a committed type (flat slice
-//!    iteration) vs the same type uncommitted (streaming frame machine);
+//! 2. **compiled pack plan** — pack a committed type (compiled plan) vs the
+//!    same type uncommitted (uncompiled segment walk);
 //! 3. **online coalescing** — segment iteration with and without merging
 //!    adjacent runs, on a type built from mergeable blocks.
 
@@ -24,7 +24,7 @@ fn bench_strided_fast_path(c: &mut Criterion) {
     let n = 1usize << 16;
     let src: Vec<f64> = (0..2 * n).map(|i| i as f64).collect();
     let mut out = vec![0u8; n * 8];
-    let fast = Datatype::vector(n, 1, 2, &Datatype::f64()).unwrap(); // uncommitted: no flatten
+    let fast = Datatype::vector(n, 1, 2, &Datatype::f64()).unwrap(); // uncommitted: no plan
     let generic = vector_disguised(n);
     assert!(nonctg_datatype::strided_form(&generic).is_none(), "disguise failed");
 
@@ -38,27 +38,28 @@ fn bench_strided_fast_path(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_flattening(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_commit_flattening");
+fn bench_compiled_plan(c: &mut Criterion) {
+    let mut g = c.benchmark_group("ablation_compiled_plan");
     g.sample_size(20);
-    // An irregular type below the flatten cap (so commit materializes it).
+    // An irregular type: committed it packs through a compiled plan,
+    // uncommitted through the uncompiled segment walk.
     let nblocks = 1usize << 12;
     let blocks: Vec<(usize, i64)> =
         (0..nblocks).map(|j| (2usize, (j * 5 + j % 2) as i64)).collect();
-    let streaming = Datatype::indexed(&blocks, &Datatype::f64()).unwrap();
-    let flattened = Datatype::indexed(&blocks, &Datatype::f64()).unwrap().commit();
-    assert!(flattened.flattened().is_some());
-    let span = (streaming.true_ub()) as usize + 64;
+    let uncompiled = Datatype::indexed(&blocks, &Datatype::f64()).unwrap();
+    let compiled = Datatype::indexed(&blocks, &Datatype::f64()).unwrap().commit();
+    assert!(nonctg_datatype::plan_for(&compiled, 1).is_some());
+    let span = (uncompiled.true_ub()) as usize + 64;
     let src: Vec<u8> = (0..span).map(|i| i as u8).collect();
-    let bytes = streaming.size() as usize;
+    let bytes = uncompiled.size() as usize;
     let mut out = vec![0u8; bytes];
 
     g.throughput(Throughput::Bytes(bytes as u64));
-    g.bench_function("flattened_slice", |b| {
-        b.iter(|| pack_into(black_box(&src), 0, &flattened, 1, &mut out).unwrap());
+    g.bench_function("compiled_plan", |b| {
+        b.iter(|| pack_into(black_box(&src), 0, &compiled, 1, &mut out).unwrap());
     });
-    g.bench_function("streaming_frames", |b| {
-        b.iter(|| pack_into(black_box(&src), 0, &streaming, 1, &mut out).unwrap());
+    g.bench_function("uncompiled_walk", |b| {
+        b.iter(|| pack_into(black_box(&src), 0, &uncompiled, 1, &mut out).unwrap());
     });
     g.finish();
 }
@@ -86,5 +87,5 @@ fn bench_coalescing(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_strided_fast_path, bench_flattening, bench_coalescing);
+criterion_group!(benches, bench_strided_fast_path, bench_compiled_plan, bench_coalescing);
 criterion_main!(benches);

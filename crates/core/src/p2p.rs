@@ -445,27 +445,25 @@ impl Comm {
                         stream_plan = None;
                     }
                 }
-                Datapath::Iov => {
-                    // Forced iovec without a bounded region list. When
+                Datapath::Iov if capped => {
+                    // Forced iovec without a bounded region list, because
                     // the plan lowered to more than `iov_max_regions()`
-                    // descriptors this is the region-cap overflow rung of
-                    // the degradation ladder: count it and trace it like
-                    // every other iovec demotion instead of silently
-                    // packing. (Eager-protocol and plan-failure
-                    // fall-throughs stay silent: the former never was
+                    // descriptors: the region-cap overflow rung of the
+                    // degradation ladder. Count it and trace it like every
+                    // other iovec demotion instead of silently packing.
+                    // (Eager-protocol and plan-failure fall-throughs reach
+                    // `_` and stay silent: the former never was
                     // iovec-eligible, the latter already counts
                     // `plan_fallbacks`.)
-                    if capped {
-                        sup.with_faults(me, |s| s.iovec_demotions += 1);
-                        let t = self.clock.now();
-                        self.trace(
-                            crate::trace::EventKind::Demote,
-                            t,
-                            Some(dst),
-                            bytes as usize,
-                            Some(tag),
-                        );
-                    }
+                    sup.with_faults(me, |s| s.iovec_demotions += 1);
+                    let t = self.clock.now();
+                    self.trace(
+                        crate::trace::EventKind::Demote,
+                        t,
+                        Some(dst),
+                        bytes as usize,
+                        Some(tag),
+                    );
                 }
                 Datapath::Elem => {
                     // The uncompiled engine: no plan, no streaming.

@@ -7,6 +7,17 @@ use nonctg_core::datatype::Datatype;
 use nonctg_core::{FaultStats, Universe};
 use nonctg_simnet::{Datapath, FaultPlan, Platform};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests that read the process-wide selector counters: an
+/// auto-mode send running concurrently in another test would show up in
+/// their deltas.
+fn selector_counters_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // The guarded value is `()`, so a panic in another holder leaves
+    // nothing inconsistent behind.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn quiet() -> Platform {
     let mut p = Platform::skx_impi();
@@ -129,6 +140,7 @@ fn pool_exhaustion_demotes_iovec_to_pack() {
 fn auto_mode_selects_iovec_for_long_regions() {
     let (count, blocklen, stride) = (256usize, 512usize, 768usize);
     let (t, src) = vector_case(count, blocklen, stride);
+    let _serial = selector_counters_lock();
     let base = nonctg_core::selector_counters();
     let (a0, a1, _) = pingpong(quiet(), t.clone(), src.clone());
     let delta = nonctg_core::selector_counters().delta_since(&base);
@@ -145,6 +157,7 @@ fn auto_mode_selects_iovec_for_long_regions() {
 fn auto_mode_keeps_pack_for_paper_workloads() {
     let (count, blocklen, stride) = (32 * 1024usize, 8usize, 16usize);
     let (t, src) = vector_case(count, blocklen, stride);
+    let _serial = selector_counters_lock();
     let base = nonctg_core::selector_counters();
     let (_, r1, _) = pingpong(quiet(), t, src.clone());
     let delta = nonctg_core::selector_counters().delta_since(&base);

@@ -4,9 +4,10 @@
 //! that Eijkhout's *Performance of MPI sends of non-contiguous data*
 //! exercises: type construction (`contiguous`, `vector`, `hvector`,
 //! `indexed`, `hindexed`, `indexed_block`, `struct`, `subarray`,
-//! `resized`), type-map algebra (size / extent / bounds / signatures),
-//! commit-time flattening with block coalescing, streaming segment
-//! iteration for arbitrarily large types, and a pack/unpack engine with
+//! `resized`), type-map algebra (size / extent / bounds / signatures,
+//! O(1) per node for the regular constructors), streaming segment
+//! iteration with block coalescing for arbitrarily large types, and a
+//! pack/unpack engine with
 //! contiguous, strided, and generic code paths.
 //!
 //! ## Quick example

@@ -4,7 +4,11 @@
 //! tree of [`Kind`] nodes. All derived properties — size, bounds, extent,
 //! signature, denseness, segment-count hints — are computed once at
 //! construction and cached on the node, so queries are O(1) regardless of
-//! how deeply types are nested.
+//! how deeply types are nested. Construction is O(1) per node for the
+//! regular kinds (contiguous, vector, hvector, subarray, resized), whose
+//! properties have a closed form, and one pass over the displacement list
+//! for the indexed kinds and struct. Commit only sets a flag: no segment
+//! list is ever materialized.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -103,12 +107,9 @@ pub struct TypeNode {
     pub(crate) seg_hint: u64,
     pub(crate) sig: Signature,
     pub(crate) committed: AtomicBool,
-    /// Materialized, coalesced segment list, filled at commit time when the
-    /// segment count is small enough (see [`Datatype::FLATTEN_CAP`]).
-    pub(crate) flattened: OnceLock<Option<Arc<[Block]>>>,
     /// Depth of the type tree (primitives are depth 1).
     pub(crate) depth: u32,
-    /// Process-unique node id; keys the compiled pack-plan cache.
+    /// Process-unique node id (see [`Datatype::type_id`]).
     pub(crate) uid: u64,
     /// Memoized canonical form: `(normalized id, representative)`. `None`
     /// as the representative means this node is already canonical (no
@@ -138,8 +139,17 @@ fn cmulu(a: u64, b: u64) -> Result<u64> {
     a.checked_mul(b).ok_or(DatatypeError::Overflow)
 }
 
-/// Bounds accumulator for min/max over typemap pieces.
-#[derive(Clone, Copy)]
+/// `(bl − 1)·ext`: how far the last child instance of a block of `bl`
+/// starts past the first.
+fn block_span(bl: u64, ext: i64) -> Result<i64> {
+    i64::try_from(i128::from(bl - 1) * i128::from(ext)).map_err(|_| DatatypeError::Overflow)
+}
+
+/// The dense block of the empty type.
+const EMPTY: Block = Block { offset: 0, len: 0 };
+
+/// Bounds accumulator for min/max over typemap pieces. With nothing
+/// included, every bound is 0.
 struct Bounds {
     lb: i64,
     ub: i64,
@@ -153,7 +163,12 @@ impl Bounds {
         Bounds { lb: 0, ub: 0, tlb: 0, tub: 0, any: false }
     }
 
-    fn include(&mut self, lb: i64, ub: i64, tlb: i64, tub: i64) {
+    /// Includes a block of child `c` at byte offset `off` whose last child
+    /// instance starts `span` bytes past its first.
+    fn include_block(&mut self, c: &TypeNode, off: i64, span: i64) -> Result<()> {
+        let end = cadd(off, span)?;
+        let (lb, ub) = (cadd(off, c.lb)?, cadd(end, c.ub)?);
+        let (tlb, tub) = (cadd(off, c.true_lb)?, cadd(end, c.true_ub)?);
         if !self.any {
             *self = Bounds { lb, ub, tlb, tub, any: true };
         } else {
@@ -162,47 +177,87 @@ impl Bounds {
             self.tlb = self.tlb.min(tlb);
             self.tub = self.tub.max(tub);
         }
+        Ok(())
     }
 }
 
-/// Tracks whether a sequence of emitted segments forms a single dense run,
-/// and counts the coalesced segments.
+/// What one block of child instances contributes to the segment list.
+enum Run {
+    /// No bytes at all (zero-size child).
+    Empty,
+    /// One dense, non-empty run.
+    Dense(Block),
+    /// This many segments that do not form one run.
+    Segs(u64),
+}
+
+impl Run {
+    /// A block of `bl >= 1` instances of child `c` (extent `ext`), relative
+    /// to the block's offset. A dense child forms one run when the block
+    /// holds one instance or instances tile exactly by the extent.
+    fn of_block(c: &TypeNode, ext: i64, bl: u64) -> Result<Run> {
+        if c.size == 0 {
+            return Ok(Run::Empty);
+        }
+        match c.dense {
+            Some(b) if bl == 1 || ext == b.len as i64 => {
+                Ok(Run::Dense(Block { offset: b.offset, len: cmulu(b.len, bl)? }))
+            }
+            _ => Ok(Run::Segs(cmulu(bl, c.seg_hint)?)),
+        }
+    }
+
+    /// The same run for a block placed at byte offset `off`.
+    fn at(self, off: i64) -> Result<Run> {
+        Ok(match self {
+            Run::Dense(b) => Run::Dense(Block { offset: cadd(off, b.offset)?, len: b.len }),
+            r => r,
+        })
+    }
+}
+
+/// Tracks whether a sequence of runs forms a single dense run, and counts
+/// the coalesced segments.
 struct DenseTracker {
     first: Option<Block>,
-    expected_next: i64,
+    /// One past the last dense run fed; `None` when not representable.
+    expected_next: Option<i64>,
     dense: bool,
     segs: u64,
 }
 
 impl DenseTracker {
     fn new() -> Self {
-        DenseTracker { first: None, expected_next: 0, dense: true, segs: 0 }
+        DenseTracker { first: None, expected_next: None, dense: true, segs: 0 }
     }
 
-    /// Feed the next run of `segs` segments; if the run itself is a single
-    /// block `(offset, len)`, pass it so cross-run chaining can be detected.
-    fn feed(&mut self, block: Option<Block>, segs: u64) {
-        match block {
-            Some(b) if b.len > 0 => {
-                if let Some(f) = &mut self.first {
-                    if self.dense && b.offset == self.expected_next {
-                        f.len += b.len;
-                    } else {
+    /// Feed the next run in typemap order.
+    fn feed(&mut self, run: Run) {
+        match run {
+            Run::Empty => {}
+            Run::Dense(b) => {
+                match &mut self.first {
+                    // Length saturates only where the type's size overflows,
+                    // which fails construction anyway.
+                    Some(f) if self.dense && self.expected_next == Some(b.offset) => {
+                        f.len = f.len.saturating_add(b.len)
+                    }
+                    Some(_) => {
                         self.dense = false;
                         self.segs = self.segs.saturating_add(1);
                     }
-                } else {
                     // Irregular runs may have been fed before the first
-                    // single-block one; accumulate, don't reset.
-                    self.first = Some(b);
-                    self.segs = self.segs.saturating_add(1);
+                    // dense one; accumulate, don't reset.
+                    None => {
+                        self.first = Some(b);
+                        self.segs = self.segs.saturating_add(1);
+                    }
                 }
-                self.expected_next = b.offset.saturating_add(b.len as i64);
+                self.expected_next = b.offset.checked_add_unsigned(b.len);
             }
-            Some(_) => {} // empty block: contributes nothing
-            None => {
+            Run::Segs(n) => {
                 self.dense = false;
-                self.segs = self.segs.saturating_add(segs);
+                self.segs = self.segs.saturating_add(n);
             }
         }
     }
@@ -210,14 +265,10 @@ impl DenseTracker {
     fn dense_block(&self) -> Option<Block> {
         match &self.first {
             // No data at all (and no irregular runs fed): the empty type.
-            None if self.dense => Some(Block { offset: 0, len: 0 }),
+            None if self.dense => Some(EMPTY),
             Some(b) if self.dense => Some(*b),
             _ => None,
         }
-    }
-
-    fn seg_count(&self) -> u64 {
-        self.segs.max(if self.first.is_none() { 0 } else { 1 })
     }
 }
 
@@ -240,38 +291,29 @@ impl TypeNode {
                     seg_hint: 1,
                     sig: Signature::of(*p),
                     committed: AtomicBool::new(true),
-                    flattened: OnceLock::new(),
                     depth: 1,
                     uid: next_uid(),
                     norm: OnceLock::new(),
                     kind: kind.clone(),
                 }
             }
-            Kind::Contiguous { count, child } => {
-                Self::build_blocky(&kind, &[(0i64, *count)], 1, child)?
-            }
+            Kind::Contiguous { count, child } => Self::build_regular(&kind, 1, *count, 0, child)?,
             Kind::Vector { count, blocklen, stride, child } => {
-                let ext = child.extent_i64();
-                let sb = cmul(*stride, ext)?;
-                let offs: Vec<(i64, u64)> =
-                    (0..*count).map(|j| cmul(j as i64, sb).map(|o| (o, *blocklen))).collect::<Result<_>>()?;
-                Self::build_blocky(&kind, &offs, 1, child)?
+                let sb = cmul(*stride, child.extent_i64())?;
+                Self::build_regular(&kind, *count, *blocklen, sb, child)?
             }
             Kind::Hvector { count, blocklen, stride_bytes, child } => {
-                let offs: Vec<(i64, u64)> = (0..*count)
-                    .map(|j| cmul(j as i64, *stride_bytes).map(|o| (o, *blocklen)))
-                    .collect::<Result<_>>()?;
-                Self::build_blocky(&kind, &offs, 1, child)?
+                Self::build_regular(&kind, *count, *blocklen, *stride_bytes, child)?
             }
             Kind::Indexed { blocks, child } => {
                 let ext = child.extent_i64();
                 let offs: Vec<(i64, u64)> =
                     blocks.iter().map(|&(bl, d)| cmul(d, ext).map(|o| (o, bl))).collect::<Result<_>>()?;
-                Self::build_blocky(&kind, &offs, 1, child)?
+                Self::build_blocky(&kind, &offs, child)?
             }
             Kind::Hindexed { blocks, child } => {
                 let offs: Vec<(i64, u64)> = blocks.iter().map(|&(bl, d)| (d, bl)).collect();
-                Self::build_blocky(&kind, &offs, 1, child)?
+                Self::build_blocky(&kind, &offs, child)?
             }
             Kind::IndexedBlock { blocklen, displacements, child } => {
                 let ext = child.extent_i64();
@@ -279,7 +321,7 @@ impl TypeNode {
                     .iter()
                     .map(|&d| cmul(d, ext).map(|o| (o, *blocklen)))
                     .collect::<Result<_>>()?;
-                Self::build_blocky(&kind, &offs, 1, child)?
+                Self::build_blocky(&kind, &offs, child)?
             }
             Kind::Struct { fields } => Self::build_struct(&kind, fields)?,
             Kind::Subarray { sizes, subsizes, starts, order, child } => {
@@ -298,7 +340,6 @@ impl TypeNode {
                     seg_hint: child.node.seg_hint,
                     sig: child.node.sig.clone(),
                     committed: AtomicBool::new(false),
-                    flattened: OnceLock::new(),
                     depth: child.node.depth + 1,
                     uid: next_uid(),
                     norm: OnceLock::new(),
@@ -309,79 +350,88 @@ impl TypeNode {
         Ok(Datatype { node: Arc::new(node) })
     }
 
-    /// Shared construction for every kind that is "blocks of a single child
-    /// type at byte offsets": contiguous, vector, hvector, indexed flavors.
+    /// Construction for the kinds whose blocks sit at data-given byte
+    /// offsets: indexed, hindexed, indexed_block.
     ///
     /// `offsets` holds `(byte_offset_of_block, blocklen)` pairs in typemap
     /// order; within a block, child instances tile by the child extent.
-    fn build_blocky(kind: &Kind, offsets: &[(i64, u64)], _reserved: u64, child: &Datatype) -> Result<TypeNode> {
-        if child.extent_i64() < 0 {
+    fn build_blocky(kind: &Kind, offsets: &[(i64, u64)], child: &Datatype) -> Result<TypeNode> {
+        let ext = child.extent_i64();
+        if ext < 0 {
             return Err(DatatypeError::NegativeExtentChild);
         }
-        let ext = child.extent_i64();
         let c = &child.node;
-
         let mut total: u64 = 0;
         let mut bounds = Bounds::new();
         let mut tracker = DenseTracker::new();
-
-        // One block of `bl` child instances, as a single dense run if the
-        // child itself is dense and tiles exactly by its extent.
-        let child_block_dense =
-            c.dense.filter(|b| ext == b.len as i64 && c.size > 0).map(|b| b.len);
-
         for &(off, bl) in offsets {
             if bl == 0 {
                 continue;
             }
             total = total.checked_add(bl).ok_or(DatatypeError::Overflow)?;
-            let span = cmul(bl as i64 - 1, ext)?;
-            bounds.include(
-                cadd(off, c.lb)?,
-                cadd(cadd(off, span)?, c.ub)?,
-                cadd(off, c.true_lb)?,
-                cadd(cadd(off, span)?, c.true_ub)?,
-            );
-            match child_block_dense {
-                Some(len) => {
-                    let b = c.dense.unwrap();
-                    tracker.feed(Some(Block { offset: cadd(off, b.offset)?, len: cmulu(len, bl)? }), 1);
-                }
-                None => {
-                    if c.size == 0 {
-                        // empty child: no bytes at all
-                        tracker.feed(Some(Block { offset: off, len: 0 }), 0);
-                    } else if bl == 1 {
-                        match c.dense {
-                            Some(b) => tracker.feed(Some(Block { offset: cadd(off, b.offset)?, len: b.len }), 1),
-                            None => tracker.feed(None, c.seg_hint),
-                        }
-                    } else {
-                        tracker.feed(None, cmulu(bl, c.seg_hint)?);
-                    }
+            bounds.include_block(c, off, block_span(bl, ext)?)?;
+            tracker.feed(Run::of_block(c, ext, bl)?.at(off)?);
+        }
+        Self::blocky_node(kind, c, total, bounds, tracker.dense_block(), tracker.segs)
+    }
+
+    /// [`Self::build_blocky`] in closed form for `count` blocks of `bl`
+    /// child instances at byte offsets `j·sb`, `j ∈ 0..count`: contiguous,
+    /// vector, hvector. The offsets are monotone in `j`, so the first and
+    /// last block bound every other one, and every offset computation that
+    /// overflows for some block overflows for one of those two.
+    fn build_regular(kind: &Kind, count: u64, bl: u64, sb: i64, child: &Datatype) -> Result<TypeNode> {
+        let last = i64::try_from(i128::from(count.saturating_sub(1)) * i128::from(sb))
+            .map_err(|_| DatatypeError::Overflow)?;
+        let ext = child.extent_i64();
+        if ext < 0 {
+            return Err(DatatypeError::NegativeExtentChild);
+        }
+        let c = &child.node;
+        if count == 0 || bl == 0 {
+            return Self::blocky_node(kind, c, 0, Bounds::new(), Some(EMPTY), 0);
+        }
+        let total = cmulu(count, bl)?;
+        let span = block_span(bl, ext)?;
+        let mut bounds = Bounds::new();
+        bounds.include_block(c, 0, span)?;
+        bounds.include_block(c, last, span)?;
+        let (dense, seg_hint) = match Run::of_block(c, ext, bl)? {
+            Run::Empty => (Some(EMPTY), 0),
+            // Consecutive runs chain into one iff the stride is the run length.
+            Run::Dense(b) => {
+                cadd(last, b.offset)?;
+                if count == 1 || u64::try_from(sb) == Ok(b.len) {
+                    (Some(Block { offset: b.offset, len: cmulu(b.len, count)? }), 1)
+                } else {
+                    (None, count)
                 }
             }
-        }
-
-        let size = cmulu(total, c.size)?;
-        let (lb, ub, tlb, tub) = if bounds.any {
-            (bounds.lb, bounds.ub, bounds.tlb, bounds.tub)
-        } else {
-            (0, 0, 0, 0)
+            Run::Segs(n) => (None, count.saturating_mul(n)),
         };
+        Self::blocky_node(kind, c, total, bounds, dense, seg_hint)
+    }
 
+    /// The node of `total` instances of child `c` laid out as described.
+    fn blocky_node(
+        kind: &Kind,
+        c: &TypeNode,
+        total: u64,
+        bounds: Bounds,
+        dense: Option<Block>,
+        seg_hint: u64,
+    ) -> Result<TypeNode> {
         Ok(TypeNode {
-            size,
-            lb,
-            ub,
-            true_lb: tlb,
-            true_ub: tub,
+            size: cmulu(total, c.size)?,
+            lb: bounds.lb,
+            ub: bounds.ub,
+            true_lb: bounds.tlb,
+            true_ub: bounds.tub,
             align: c.align,
-            dense: tracker.dense_block(),
-            seg_hint: tracker.seg_count(),
+            dense,
+            seg_hint,
             sig: c.sig.scaled(total)?,
             committed: AtomicBool::new(false),
-            flattened: OnceLock::new(),
             depth: c.depth + 1,
             uid: next_uid(),
             norm: OnceLock::new(),
@@ -403,45 +453,20 @@ impl TypeNode {
             if f.blocklen == 0 {
                 continue;
             }
-            if f.datatype.extent_i64() < 0 {
+            let ext = f.datatype.extent_i64();
+            if ext < 0 {
                 return Err(DatatypeError::NegativeExtentChild);
             }
-            let ext = f.datatype.extent_i64();
             align = align.max(c.align);
             size = size
                 .checked_add(cmulu(f.blocklen, c.size)?)
                 .ok_or(DatatypeError::Overflow)?;
             sig = sig.plus(&c.sig.scaled(f.blocklen)?)?;
-            let span = cmul(f.blocklen as i64 - 1, ext)?;
-            bounds.include(
-                cadd(f.displacement, c.lb)?,
-                cadd(cadd(f.displacement, span)?, c.ub)?,
-                cadd(f.displacement, c.true_lb)?,
-                cadd(cadd(f.displacement, span)?, c.true_ub)?,
-            );
-            let block_dense = c.dense.filter(|b| ext == b.len as i64 && c.size > 0);
-            match block_dense {
-                Some(b) => tracker.feed(
-                    Some(Block {
-                        offset: cadd(f.displacement, b.offset)?,
-                        len: cmulu(b.len, f.blocklen)?,
-                    }),
-                    1,
-                ),
-                None if c.size == 0 => {}
-                None if f.blocklen == 1 => match c.dense {
-                    Some(b) => tracker.feed(Some(Block { offset: cadd(f.displacement, b.offset)?, len: b.len }), 1),
-                    None => tracker.feed(None, c.seg_hint),
-                },
-                None => tracker.feed(None, cmulu(f.blocklen, c.seg_hint)?),
-            }
+            bounds.include_block(c, f.displacement, block_span(f.blocklen, ext)?)?;
+            tracker.feed(Run::of_block(c, ext, f.blocklen)?.at(f.displacement)?);
         }
 
-        let (lb, mut ub, tlb, tub) = if bounds.any {
-            (bounds.lb, bounds.ub, bounds.tlb, bounds.tub)
-        } else {
-            (0, 0, 0, 0)
-        };
+        let Bounds { lb, mut ub, tlb, tub, .. } = bounds;
         // MPI epsilon rule: pad the extent so arrays of this struct keep
         // every field naturally aligned, exactly as a C compiler would.
         let raw_extent = (ub - lb) as u64;
@@ -459,10 +484,9 @@ impl TypeNode {
             // Padding means an array of structs is never byte-dense unless
             // the padding is zero and the body is dense.
             dense: tracker.dense_block().filter(|_| padded == raw_extent || size == 0),
-            seg_hint: tracker.seg_count(),
+            seg_hint: tracker.segs,
             sig,
             committed: AtomicBool::new(false),
-            flattened: OnceLock::new(),
             depth: depth + 1,
             uid: next_uid(),
             norm: OnceLock::new(),
@@ -582,7 +606,6 @@ impl TypeNode {
             seg_hint: seg_hint.max(if size > 0 { 1 } else { 0 }),
             sig: c.sig.scaled(sel_elems)?,
             committed: AtomicBool::new(false),
-            flattened: OnceLock::new(),
             depth: c.depth + 1,
             uid: next_uid(),
             norm: OnceLock::new(),
@@ -592,10 +615,6 @@ impl TypeNode {
 }
 
 impl Datatype {
-    /// Above this many segments per instance, commit does not materialize a
-    /// flattened representation and pack/unpack stream segments instead.
-    pub const FLATTEN_CAP: u64 = 1 << 16;
-
     /// Total payload bytes in one instance (sum of primitive sizes).
     #[inline]
     pub fn size(&self) -> u64 {
@@ -701,19 +720,12 @@ impl Datatype {
         self.node.committed.load(Ordering::Acquire)
     }
 
-    /// Marks the type ready for communication and precomputes the flattened
-    /// segment list when it is small enough to be worth materializing.
+    /// Marks the type ready for communication. Every property is already
+    /// computed at construction, so this only sets the flag.
     ///
     /// Returns `self` for chaining, mirroring the common
     /// `MPI_Type_commit(&t)` usage.
     pub fn commit(self) -> Self {
-        self.node.flattened.get_or_init(|| {
-            if self.node.seg_hint <= Self::FLATTEN_CAP {
-                Some(crate::segiter::SegIter::new(&self, 1).collect::<Vec<_>>().into())
-            } else {
-                None
-            }
-        });
         self.node.committed.store(true, Ordering::Release);
         self
     }
@@ -727,19 +739,16 @@ impl Datatype {
         }
     }
 
-    /// The flattened segment list, if the type was committed and small.
-    pub fn flattened(&self) -> Option<&Arc<[Block]>> {
-        self.node.flattened.get().and_then(|o| o.as_ref())
-    }
-
     /// Structural pointer equality (same node).
     pub fn same_type(&self, other: &Datatype) -> bool {
         Arc::ptr_eq(&self.node, &other.node)
     }
 
     /// Process-unique id of the root node. Clones of the same handle share
-    /// an id; structurally equal but separately built types do not. Keys
-    /// the compiled pack-plan cache.
+    /// an id; structurally equal but separately built types do not. It
+    /// stands in for the structure in the normalization key of types whose
+    /// displacement lists are too long to spell out; the compiled pack-plan
+    /// cache is keyed on [`Self::normalized_id`] instead.
     #[inline]
     pub fn type_id(&self) -> u64 {
         self.node.uid
@@ -874,22 +883,6 @@ mod tests {
         let c = Datatype::contiguous(5, &v).unwrap();
         assert_eq!(c.signature().count(Primitive::Float64), 100);
         assert_eq!(c.size(), 800);
-    }
-
-    #[test]
-    fn commit_flattens_small_types() {
-        let d = Datatype::vector(8, 1, 2, &Datatype::f64()).unwrap().commit();
-        let f = d.flattened().expect("should flatten");
-        assert_eq!(f.len(), 8);
-        assert_eq!(f[0].offset, 0);
-        assert_eq!(f[1].offset, 16);
-    }
-
-    #[test]
-    fn huge_types_do_not_materialize() {
-        let d = Datatype::vector(1 << 20, 1, 2, &Datatype::f64()).unwrap().commit();
-        assert!(d.flattened().is_none());
-        assert!(d.is_committed());
     }
 
     #[test]

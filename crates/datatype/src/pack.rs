@@ -346,24 +346,7 @@ pub fn pack_into_uncompiled(
         }
         return Ok(written);
     }
-    // Path 3a: committed types with a materialized segment list — iterate
-    // the flat slice (per instance) instead of running the frame machine.
-    if let Some(flat) = dtype.flattened() {
-        let ext = dtype.extent_i64();
-        let mut pos = 0usize;
-        for i in 0..count as i64 {
-            let shift = i * ext;
-            for b in flat.iter() {
-                let b = Block { offset: b.offset + shift, len: b.len };
-                let (from, to) = check_block(origin, b, src.len())?;
-                dst[pos..pos + b.len as usize].copy_from_slice(&src[from..to]);
-                pos += b.len as usize;
-            }
-        }
-        debug_assert_eq!(pos, total);
-        return Ok(pos);
-    }
-    // Path 3b: streaming segment walk.
+    // Path 3: streaming segment walk.
     let mut pos = 0usize;
     for b in SegIter::new(dtype, count as u64) {
         let (from, to) = check_block(origin, b, src.len())?;
@@ -429,29 +412,6 @@ pub fn unpack_from_uncompiled(
             consumed += unpack_strided_mut(dst, origin, s_i, &packed[i * inst..(i + 1) * inst])?;
         }
         return Ok(consumed);
-    }
-    if let Some(flat) = dtype.flattened() {
-        let ext = dtype.extent_i64();
-        let mut pos = 0usize;
-        for i in 0..count as i64 {
-            let shift = i * ext;
-            for b in flat.iter() {
-                let from = origin as i64 + b.offset + shift;
-                let to = from + b.len as i64;
-                if from < 0 || to as u64 > dst.len() as u64 {
-                    return Err(DatatypeError::OutOfBounds {
-                        needed_from: from,
-                        needed_to: to,
-                        buffer_len: dst.len(),
-                    });
-                }
-                dst[from as usize..to as usize]
-                    .copy_from_slice(&packed[pos..pos + b.len as usize]);
-                pos += b.len as usize;
-            }
-        }
-        debug_assert_eq!(pos, total);
-        return Ok(pos);
     }
     let mut pos = 0usize;
     for b in SegIter::new(dtype, count as u64) {

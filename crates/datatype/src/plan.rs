@@ -308,10 +308,6 @@ impl PackPlan {
         let mut bld = Builder::new();
         if let Some(s) = strided_form(dtype) {
             bld.push_strided(s)?;
-        } else if let Some(flat) = dtype.flattened() {
-            for b in flat.iter() {
-                bld.push_block(b.offset, b.len)?;
-            }
         } else {
             for b in SegIter::new(dtype, 1) {
                 bld.push_block(b.offset, b.len)?;

@@ -1,7 +1,8 @@
 //! Property-based tests of the datatype algebra and pack engine.
 
 use nonctg_datatype::{
-    pack, pack_size, strided_form, unpack_from, ArrayOrder, Datatype, Primitive, SegIter,
+    pack, pack_size, strided_form, unpack_from, ArrayOrder, Block, Datatype, DatatypeError,
+    Primitive, SegIter, Signature,
 };
 use proptest::prelude::*;
 
@@ -59,6 +60,53 @@ fn arb_datatype() -> impl Strategy<Value = Datatype> {
             }),
         ]
     })
+}
+
+/// Children for the regular constructors: primitives, dense composites,
+/// resized types with gaps or a negative lower bound, non-dense vectors,
+/// a padded struct, and zero-size types.
+fn arb_child() -> impl Strategy<Value = Datatype> {
+    let f = Datatype::f64();
+    let i = Datatype::i32();
+    let empty = Datatype::contiguous(0, &f).unwrap();
+    prop_oneof![
+        Just(f.clone()),
+        Just(Datatype::byte()),
+        Just(Datatype::contiguous(3, &i).unwrap()),
+        Just(Datatype::resized(&f, 0, 16).unwrap()),
+        Just(Datatype::resized(&i, -4, 12).unwrap()),
+        Just(Datatype::resized(&f, -8, 8).unwrap()),
+        Just(Datatype::vector(3, 1, 2, &i).unwrap()),
+        Just(Datatype::vector(2, 2, -3, &Datatype::byte()).unwrap()),
+        Just(Datatype::structure(&[(1, 0, f.clone()), (1, 8, i.clone())]).unwrap()),
+        Just(empty.clone()),
+        Just(Datatype::resized(&empty, -8, 8).unwrap()),
+    ]
+}
+
+/// Every cached property of a type.
+type Props = (u64, i64, i64, i64, i64, usize, Option<Block>, u64, Signature, u32);
+
+fn props(d: &Datatype) -> Props {
+    (
+        d.size(),
+        d.lb(),
+        d.ub(),
+        d.true_lb(),
+        d.true_ub(),
+        d.align(),
+        d.dense_block(),
+        d.seg_count_hint(),
+        d.signature().clone(),
+        d.depth(),
+    )
+}
+
+/// `count` blocks of `blocklen` child instances, `stride_bytes` apart, as
+/// an explicit hindexed displacement list.
+fn as_hindexed(count: usize, blocklen: usize, stride_bytes: i64, child: &Datatype) -> Datatype {
+    let blocks: Vec<(usize, i64)> = (0..count).map(|j| (blocklen, j as i64 * stride_bytes)).collect();
+    Datatype::hindexed(&blocks, child).unwrap()
 }
 
 /// Buffer sized to hold `count` instances with margin.
@@ -214,8 +262,7 @@ proptest! {
         prop_assert_eq!(pack(&src, 0, &v, 1).unwrap(), pack(&src, 0, &ix, 1).unwrap());
     }
 
-    /// Committing never changes observable properties, and the flattened
-    /// list (when present) matches the streaming iterator.
+    /// Committing never changes observable properties.
     #[test]
     fn commit_is_transparent(d in arb_datatype()) {
         let size = d.size();
@@ -225,10 +272,6 @@ proptest! {
         prop_assert_eq!(c.size(), size);
         prop_assert_eq!(c.extent(), extent);
         prop_assert_eq!(c.seg_count_hint(), hint);
-        if let Some(f) = c.flattened() {
-            let live: Vec<_> = SegIter::new(&c, 1).collect();
-            prop_assert_eq!(f.as_ref(), &live[..]);
-        }
     }
 
     /// seg_count_hint is an upper bound on the real coalesced segment
@@ -241,11 +284,141 @@ proptest! {
             "real {} > hint {}", real, d.seg_count_hint()
         );
     }
+
+    /// Equal typemaps built different ways agree on every cached property:
+    /// contiguous, vector and hvector (closed form) against the same blocks
+    /// listed as hindexed byte displacements (one pass over the list).
+    /// Strides are negative, zero, the block length, larger, or any byte
+    /// count, including plus and minus the run length of a block.
+    #[test]
+    fn regular_constructors_match_hindexed(
+        child in arb_child(),
+        count in prop_oneof![Just(0usize), Just(1), Just(2), 3usize..7],
+        blocklen in prop_oneof![Just(0usize), Just(1), 2usize..4],
+        stride_kind in 0usize..4,
+        mag in 1i64..5,
+        byte_stride in -48i64..48,
+    ) {
+        let bl = blocklen as i64;
+        let stride = [-mag, 0, bl, bl + mag][stride_kind];
+        let ext = child.extent() as i64;
+        let v = Datatype::vector(count, blocklen, stride, &child).unwrap();
+        prop_assert_eq!(props(&v), props(&as_hindexed(count, blocklen, stride * ext, &child)));
+        let run = child.size() as i64 * bl;
+        for sb in [stride * ext, byte_stride, run, -run] {
+            let h = Datatype::hvector(count, blocklen, sb, &child).unwrap();
+            prop_assert_eq!(props(&h), props(&as_hindexed(count, blocklen, sb, &child)), "stride {}", sb);
+        }
+        let c = Datatype::contiguous(blocklen, &child).unwrap();
+        prop_assert_eq!(props(&c), props(&as_hindexed(1, blocklen, 0, &child)));
+    }
+}
+
+/// Regular constructions at the edge of the 64-bit range keep the `Result`
+/// the per-block construction loop gave them, error variant included.
+#[test]
+fn hostile_regular_inputs_keep_their_results() {
+    use DatatypeError::Overflow;
+    type Summary = Result<(u64, i64, i64, i64, i64, Option<Block>, u64), DatatypeError>;
+    fn summary(r: Result<Datatype, DatatypeError>) -> Summary {
+        r.map(|d| (d.size(), d.lb(), d.ub(), d.true_lb(), d.true_ub(), d.dense_block(), d.seg_count_hint()))
+    }
+    let f64t = Datatype::f64();
+    let low = Datatype::resized(&f64t, i64::MIN + 8, 16).unwrap();
+    let empty = Datatype::contiguous(0, &f64t).unwrap();
+    let big = i64::MAX / 8;
+    let huge_bl = usize::MAX / 16;
+    let empty_ok: Summary = Ok((0, 0, 0, 0, 0, Some(Block { offset: 0, len: 0 }), 0));
+    let huge_dense: Summary = Ok((
+        9223372036854775800,
+        0,
+        9223372036854775800,
+        0,
+        9223372036854775800,
+        Some(Block { offset: 0, len: 9223372036854775800 }),
+        1,
+    ));
+    let cases: Vec<(&str, Result<Datatype, DatatypeError>, Summary)> = vec![
+        ("vector stride*extent overflows", Datatype::vector(2, 1, big + 1, &f64t), Err(Overflow)),
+        ("vector stride*extent overflows at count 0", Datatype::vector(0, 1, i64::MAX, &f64t), Err(Overflow)),
+        ("vector count 0, largest stride", Datatype::vector(0, 1, big, &f64t), empty_ok.clone()),
+        ("vector count 1 still scales the stride", Datatype::vector(1, 1, i64::MAX, &f64t), Err(Overflow)),
+        ("vector ub one past i64::MAX", Datatype::vector(2, 1, big, &f64t), Err(Overflow)),
+        (
+            "vector last offset just fits",
+            Datatype::vector(3, 1, i64::MAX / 16, &f64t),
+            Ok((24, 0, 9223372036854775800, 0, 9223372036854775800, None, 3)),
+        ),
+        (
+            "vector negative stride just fits",
+            Datatype::vector(3, 1, -(i64::MAX / 16), &f64t),
+            Ok((24, -9223372036854775792, 8, -9223372036854775792, 8, None, 3)),
+        ),
+        ("vector fourth block overflows", Datatype::vector(4, 1, i64::MAX / 16, &f64t), Err(Overflow)),
+        (
+            "hvector count 1 ignores the stride",
+            Datatype::hvector(1, 1, i64::MAX, &f64t),
+            Ok((8, 0, 8, 0, 8, Some(Block { offset: 0, len: 8 }), 1)),
+        ),
+        (
+            "hvector ub reaches i64::MAX",
+            Datatype::hvector(2, 1, i64::MAX - 8, &f64t),
+            Ok((16, 0, i64::MAX, 0, i64::MAX, None, 2)),
+        ),
+        ("hvector ub one past i64::MAX", Datatype::hvector(2, 1, i64::MAX - 7, &f64t), Err(Overflow)),
+        (
+            "hvector lb reaches i64::MIN",
+            Datatype::hvector(2, 1, i64::MIN, &f64t),
+            Ok((16, i64::MIN, 8, i64::MIN, 8, None, 2)),
+        ),
+        (
+            "hvector count u64::MAX/size, stride i64::MIN",
+            Datatype::hvector(usize::MAX / 8, 1, i64::MIN, &f64t),
+            Err(Overflow),
+        ),
+        (
+            "hvector blocklen 0 still checks offsets",
+            Datatype::hvector(usize::MAX / 8, 0, i64::MAX, &f64t),
+            Err(Overflow),
+        ),
+        ("hvector blocklen u64::MAX/size", Datatype::hvector(1, usize::MAX / 8, 0, &f64t), Err(Overflow)),
+        ("hvector blocklen u64::MAX/(2 size)", Datatype::hvector(1, huge_bl, 0, &f64t), huge_dense.clone()),
+        (
+            "two overlapping huge blocks",
+            Datatype::hvector(2, huge_bl, 0, &f64t),
+            Ok((18446744073709551600, 0, 9223372036854775800, 0, 9223372036854775800, None, 2)),
+        ),
+        ("three huge blocks overflow size", Datatype::hvector(3, huge_bl, 0, &f64t), Err(Overflow)),
+        (
+            "chained huge blocks overflow ub",
+            Datatype::hvector(2, huge_bl, (huge_bl * 8) as i64, &f64t),
+            Err(Overflow),
+        ),
+        ("count*blocklen overflows", Datatype::hvector(4, 1 << 62, 0, &Datatype::byte()), Err(Overflow)),
+        (
+            "negative-lb child, lb reaches i64::MIN",
+            Datatype::hvector(2, 1, -8, &low),
+            Ok((16, i64::MIN, -9223372036854775784, -8, 8, None, 2)),
+        ),
+        ("negative-lb child, lb underflows", Datatype::hvector(2, 1, -16, &low), Err(Overflow)),
+        (
+            "negative-lb child, positive stride",
+            Datatype::vector(3, 1, 1, &low),
+            Ok((24, -9223372036854775800, -9223372036854775752, 0, 40, None, 3)),
+        ),
+        ("zero-extent child, largest stride", Datatype::vector(3, 1, i64::MAX, &empty), empty_ok.clone()),
+        ("contiguous count u64::MAX/size", Datatype::contiguous(usize::MAX / 8, &f64t), Err(Overflow)),
+        ("contiguous count u64::MAX/(2 size)", Datatype::contiguous(huge_bl, &f64t), huge_dense),
+        ("contiguous of zero-size child, count u64::MAX", Datatype::contiguous(usize::MAX, &empty), empty_ok),
+    ];
+    for (name, built, expected) in cases {
+        assert_eq!(summary(built), expected, "{name}");
+    }
 }
 
 /// Deeply nested stress: five levels of composition over a realistic
-/// footprint must keep all invariants and round-trip through the packed
-/// form, through external32, and through the flattened representation.
+/// footprint must keep all invariants, round-trip through the packed form
+/// and through external32, and match the same tree built afresh.
 #[test]
 fn deep_nesting_stress() {
     use nonctg_datatype::{layout_eq, pack_external, unpack_external};
@@ -281,7 +454,7 @@ fn deep_nesting_stress() {
     unpack_external(&ext, &top, 1, &mut back2, 0).unwrap();
     assert_eq!(back, back2);
 
-    // The committed flattened list matches the stream.
+    // The committed type has the typemap of an uncommitted rebuild.
     let fresh = Datatype::indexed(&[(1, 0), (1, 2)], &Datatype::hvector(4, 1, 512,
         &Datatype::structure(&[(2, 0, Datatype::i32()), (1, 16,
             Datatype::vector(3, 2, 5, &Datatype::contiguous(2, &Datatype::f64()).unwrap()).unwrap())]).unwrap()).unwrap()).unwrap();
