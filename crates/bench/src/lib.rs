@@ -7,8 +7,6 @@
 
 #![warn(missing_docs)]
 
-pub mod history;
-
 use std::fs;
 use std::path::{Path, PathBuf};
 

@@ -113,3 +113,23 @@ fn version_mismatch_is_fatal() {
         other => panic!("expected Fatal, got {other:?}"),
     }
 }
+
+/// A checkpoint from a newer build that was cut off mid-write is still a
+/// version mismatch (fatal), not a corrupt file to silently replace: the
+/// leading stamp is read before the truncated body fails to parse.
+#[test]
+fn truncated_future_version_is_fatal() {
+    let path = tmp("truncated-future.json");
+    std::fs::write(
+        &path,
+        "{\"schema_version\": 999, \"platform\": \"skx-impi\", \"points\": [",
+    )
+    .unwrap();
+    match load_resume_checkpoint(&path, PlatformId::SkxImpi) {
+        ResumeLoad::Fatal(msg) => {
+            assert!(msg.contains("truncated-future.json"), "{msg}");
+            assert!(msg.contains("999"), "{msg}");
+        }
+        other => panic!("expected Fatal, got {other:?}"),
+    }
+}

@@ -1,16 +1,15 @@
 //! Trace-export round trip: a synthetic [`ObservedRun`] is converted to
 //! spans, exported as Chrome-tracing JSON, then parsed back with the
-//! bench crate's own JSON parser. The assertions pin what downstream
-//! viewers rely on: one `X` record per trace event, `thread_name`
-//! metadata for every rank, non-negative durations with timestamps
-//! monotone per track, and the `seq`/`depth` pipeline annotations
-//! surviving verbatim.
+//! workspace's JSON reader (`nonctg_schemes::parse_json`). The
+//! assertions pin what downstream viewers rely on: one `X` record per
+//! trace event, `thread_name` metadata for every rank, non-negative
+//! durations with timestamps monotone per track, and the `seq`/`depth`
+//! pipeline annotations surviving verbatim.
 
 use nonctg_bench::events_to_spans;
-use nonctg_bench::history::{parse_json, Value};
 use nonctg_core::{EventKind, FaultStats, TraceEvent};
 use nonctg_report::chrome_trace_json;
-use nonctg_schemes::{ObservedRun, PingPongResult, Scheme};
+use nonctg_schemes::{parse_json, ObservedRun, PingPongResult, Scheme, Value};
 
 fn ev(kind: EventKind, t_start: f64, t_end: f64, bytes: usize) -> TraceEvent {
     TraceEvent {

@@ -12,8 +12,9 @@
 //!   compilation entirely and wins only for tiny messages.
 //!
 //! The selector picks per `(platform, byte size, region shape)` from a
-//! [`CrossoverTable`] seeded by the `datapath_baseline` calibration
-//! sweep: iovec wins once the mean region length clears the platform's
+//! [`CrossoverTable`] seeded from a virtual-time calibration probe (pinned
+//! by `seeded_crossover_tracks_the_cost_model` in `tests/iovec_props.rs`):
+//! iovec wins once the mean region length clears the platform's
 //! measured crossover, because the per-region descriptor cost amortizes
 //! while the avoided gather copy scales with the payload. Decisions are
 //! observable through [`EventKind::Select`](crate::trace::EventKind)
@@ -50,10 +51,11 @@ pub fn iov_max_regions() -> usize {
 
 /// Measured pack/iovec/element crossovers for one platform.
 ///
-/// Seeded per installation from the `datapath_baseline` calibration
-/// sweep (see BENCH_datapath.json): the region length where zero-copy
-/// iovec overtakes the staged pack, and the message size under which
-/// the uncompiled element engine beats both compiled paths.
+/// Seeded per installation from a virtual-time calibration probe, which
+/// `seeded_crossover_tracks_the_cost_model` (`tests/iovec_props.rs`)
+/// re-runs: the region length where zero-copy iovec overtakes the staged
+/// pack, and the message size under which the uncompiled element engine
+/// beats both compiled paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrossoverTable {
     /// Messages at or under this many bytes route to the element engine

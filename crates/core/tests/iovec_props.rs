@@ -4,6 +4,7 @@
 //! chaos fault plans.
 
 use nonctg_core::datatype::Datatype;
+use nonctg_core::selector::{self, CrossoverTable};
 use nonctg_core::{FaultStats, Universe};
 use nonctg_simnet::{Datapath, FaultPlan, Platform};
 use proptest::prelude::*;
@@ -165,28 +166,79 @@ fn auto_mode_keeps_pack_for_paper_workloads() {
     assert_layout(&src, &r1, count, blocklen, stride, 0xBB);
 }
 
+/// Virtual seconds (max over ranks) of one strided send 0 -> 1 of
+/// `count` regions of `blocklen` bytes at `stride`.
+fn send_time(platform: Platform, count: usize, blocklen: usize, stride: usize) -> f64 {
+    let (dtype, src) = vector_case(count, blocklen, stride);
+    let n = src.len();
+    let times = Universe::run(platform, 2, move |comm| {
+        if comm.rank() == 0 {
+            comm.send(&src, 0, &dtype, 1, 1, 0).unwrap();
+        } else {
+            let mut buf = vec![0u8; n];
+            comm.recv(&mut buf, 0, &dtype, 1, Some(0), Some(0)).unwrap();
+        }
+        comm.wtime()
+    });
+    times.into_iter().fold(0.0f64, f64::max)
+}
+
 /// For long regions the zero-copy path must be faster in virtual time
 /// than the staged pack path — the perf claim the selector encodes.
 #[test]
 fn iovec_is_faster_for_long_regions() {
-    let (count, blocklen, stride) = (256usize, 4096usize, 4608usize);
-    let (t, src) = vector_case(count, blocklen, stride);
-    let time_with = |p: Platform| {
-        let dtype = t.clone();
-        let payload = src.clone();
-        let n = payload.len();
-        let times = Universe::run(p, 2, move |comm| {
-            if comm.rank() == 0 {
-                comm.send(&payload, 0, &dtype, 1, 1, 0).unwrap();
-            } else {
-                let mut buf = vec![0u8; n];
-                comm.recv(&mut buf, 0, &dtype, 1, Some(0), Some(0)).unwrap();
-            }
-            comm.wtime()
-        });
-        times.into_iter().fold(0.0f64, f64::max)
-    };
-    let pack = time_with(quiet().with_datapath(Datapath::Pack));
-    let iov = time_with(quiet().with_datapath(Datapath::Iov));
+    let time = |engine| send_time(quiet().with_datapath(engine), 256, 4096, 4608);
+    let (pack, iov) = (time(Datapath::Pack), time(Datapath::Iov));
     assert!(iov < pack, "iovec not faster: iov={iov:e} pack={pack:e}");
+}
+
+/// The selector's seeded crossovers are calibrated against the cost
+/// model: on every platform, a 900-region send (under the iovec cap, and
+/// rendezvous-sized everywhere) is timed through forced pack and forced
+/// iovec at region lengths straddling the seeded `iov_min_region_bytes`.
+/// `choose` must pick the measured winner wherever the engines differ by
+/// more than 10% (the crossover itself is a near-tie), and the measured
+/// crossover must stay within a factor of two of the seeded one; a cost
+/// model change that moves it further must re-seed the table.
+#[test]
+fn seeded_crossover_tracks_the_cost_model() {
+    const REGIONS: usize = 900;
+    const LENS: [usize; 8] = [96, 128, 160, 192, 256, 512, 1024, 4096];
+    const TIE: f64 = 0.10;
+    for p in Platform::all() {
+        let name = p.id.name();
+        let forced = |engine| {
+            let mut q = p.clone().with_datapath(engine);
+            q.jitter_sigma = 0.0;
+            q
+        };
+        let mut measured = None;
+        for region in LENS {
+            let pack_s = send_time(forced(Datapath::Pack), REGIONS, region, 2 * region);
+            let iov_s = send_time(forced(Datapath::Iov), REGIONS, region, 2 * region);
+            if iov_s < pack_s {
+                measured.get_or_insert(region as u64);
+            }
+            if (pack_s - iov_s).abs() / pack_s.min(iov_s) > TIE {
+                let winner = if iov_s < pack_s {
+                    Datapath::Iov
+                } else {
+                    Datapath::Pack
+                };
+                let chosen =
+                    selector::choose(p.id, (REGIONS * region) as u64, Some(REGIONS as u64));
+                assert_eq!(
+                    chosen, winner,
+                    "{name}: selector picked {chosen:?} but {winner:?} wins at region={region} \
+                     (pack {pack_s:.3e}s, iov {iov_s:.3e}s)"
+                );
+            }
+        }
+        let seeded = CrossoverTable::seeded(p.id).iov_min_region_bytes;
+        let measured = measured.unwrap_or_else(|| panic!("{name}: iovec never overtook pack"));
+        assert!(
+            (seeded / 2..=seeded * 2).contains(&measured),
+            "{name}: measured crossover {measured} B drifted from seeded {seeded} B"
+        );
+    }
 }

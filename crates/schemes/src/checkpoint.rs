@@ -1,5 +1,7 @@
-//! JSON checkpointing of sweeps, hand-rolled against a fixed schema (the
-//! workspace deliberately has no serialization dependency).
+//! JSON checkpointing of sweeps against a fixed schema. Writing is
+//! hand-formatted; reading parses through the workspace's one JSON reader
+//! ([`parse_json`], in `json.rs`) and then checks the schema on the
+//! [`Value`] tree.
 //!
 //! Format:
 //!
@@ -21,6 +23,7 @@ use std::str::FromStr;
 
 use nonctg_simnet::{Datapath, PlatformId};
 
+use crate::json::{parse_json, Value};
 use crate::scheme::Scheme;
 use crate::sweep::{PointStatus, Sweep, SweepFaults, SweepPoint};
 
@@ -133,239 +136,152 @@ fn faults_json(f: &SweepFaults) -> String {
     )
 }
 
-/// A minimal recursive-descent parser for the checkpoint schema.
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
+fn parse_error(msg: impl std::fmt::Display) -> CheckpointError {
+    CheckpointError::Parse(format!("checkpoint parse error: {msg}"))
 }
 
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser { s: s.as_bytes(), i: 0 }
+fn members<'v>(v: &'v Value, what: &str) -> Result<&'v [(String, Value)], CheckpointError> {
+    match v {
+        Value::Obj(members) => Ok(members),
+        _ => Err(parse_error(format!("{what} must be an object"))),
     }
+}
 
-    fn err(&self, what: &str) -> String {
-        format!("checkpoint parse error at byte {}: {what}", self.i)
+fn string<'v>(v: &'v Value, key: &str) -> Result<&'v str, CheckpointError> {
+    v.as_str()
+        .ok_or_else(|| parse_error(format!("'{key}' must be a string")))
+}
+
+/// A JSON number, or `null` read as NaN.
+fn number_or_null(v: &Value, key: &str) -> Result<f64, CheckpointError> {
+    match v {
+        Value::Null => Ok(f64::NAN),
+        _ => v
+            .as_f64()
+            .ok_or_else(|| parse_error(format!("'{key}' must be a number or null"))),
     }
+}
 
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
+/// A non-negative integer (sizes, counters, the version stamp).
+fn counter(v: &Value, key: &str) -> Result<u64, CheckpointError> {
+    match v.as_f64() {
+        Some(x) if x.is_finite() && x >= 0.0 => Ok(x as u64),
+        _ => Err(parse_error(format!(
+            "'{key}' must be a non-negative integer"
+        ))),
+    }
+}
+
+fn check_version(v: &Value) -> Result<(), CheckpointError> {
+    let found = counter(v, "schema_version")?;
+    if found != CHECKPOINT_SCHEMA_VERSION {
+        return Err(CheckpointError::VersionMismatch {
+            found,
+            supported: CHECKPOINT_SCHEMA_VERSION,
+        });
+    }
+    Ok(())
+}
+
+fn point(v: &Value) -> Result<SweepPoint, CheckpointError> {
+    let mut scheme = None;
+    let mut msg_bytes = None;
+    let mut time = f64::NAN;
+    let mut bandwidth = f64::NAN;
+    let mut slowdown = f64::NAN;
+    let mut status = None;
+    // Absent in checkpoints written before the datapath selector.
+    let mut selected = Datapath::Auto;
+    // Absent in checkpoints written before per-point attribution.
+    let mut faults = SweepFaults::default();
+    for (key, v) in members(v, "a point")? {
+        match key.as_str() {
+            "scheme" => scheme = Some(Scheme::from_str(string(v, key)?)?),
+            "msg_bytes" => msg_bytes = Some(counter(v, key)? as usize),
+            "time" => time = number_or_null(v, key)?,
+            "bandwidth" => bandwidth = number_or_null(v, key)?,
+            "slowdown" => slowdown = number_or_null(v, key)?,
+            "status" => status = Some(PointStatus::from_str(string(v, key)?)?),
+            "selected" => selected = Datapath::from_str(string(v, key)?)?,
+            "faults" => faults = fault_stats(v)?,
+            other => return Err(parse_error(format!("unknown point key '{other}'"))),
         }
     }
+    let missing = |key: &str| parse_error(format!("point missing '{key}'"));
+    Ok(SweepPoint {
+        scheme: scheme.ok_or_else(|| missing("scheme"))?,
+        msg_bytes: msg_bytes.ok_or_else(|| missing("msg_bytes"))?,
+        time,
+        bandwidth,
+        slowdown,
+        status: status.ok_or_else(|| missing("status"))?,
+        selected,
+        faults,
+    })
+}
 
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.s.get(self.i).copied()
+fn fault_stats(v: &Value) -> Result<SweepFaults, CheckpointError> {
+    let mut f = SweepFaults::default();
+    for (key, v) in members(v, "fault_stats")? {
+        let slot = match key.as_str() {
+            "transient_retries" => &mut f.transient_retries,
+            "delays" => &mut f.delays,
+            "corruptions" => &mut f.corruptions,
+            "failed_sends" => &mut f.failed_sends,
+            "poisoned_peers" => &mut f.poisoned_peers,
+            // v2 ladder counters; absent in older checkpoints (zeros).
+            "demotions" => &mut f.demotions,
+            "chunk_retries" => &mut f.chunk_retries,
+            "link_degradations" => &mut f.link_degradations,
+            "recv_crashes" => &mut f.recv_crashes,
+            other => return Err(parse_error(format!("unknown fault_stats key '{other}'"))),
+        };
+        *slot = counter(v, key)?;
     }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.s.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.i;
-        while let Some(&c) = self.s.get(self.i) {
-            if c == b'"' {
-                let out = std::str::from_utf8(&self.s[start..self.i])
-                    .map_err(|_| self.err("invalid utf-8 in string"))?
-                    .to_string();
-                self.i += 1;
-                return Ok(out);
-            }
-            if c == b'\\' {
-                return Err(self.err("escapes are not used by this schema"));
-            }
-            self.i += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    /// A JSON number, or `null` read as NaN.
-    fn number_or_null(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        if self.s[self.i..].starts_with(b"null") {
-            self.i += 4;
-            return Ok(f64::NAN);
-        }
-        let start = self.i;
-        while let Some(&c) = self.s.get(self.i) {
-            if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .ok_or_else(|| self.err("expected a number or null"))
-    }
-
-    fn point(&mut self) -> Result<SweepPoint, String> {
-        self.expect(b'{')?;
-        let mut scheme = None;
-        let mut msg_bytes = None;
-        let mut time = f64::NAN;
-        let mut bandwidth = f64::NAN;
-        let mut slowdown = f64::NAN;
-        let mut status = None;
-        // Absent in checkpoints written before the datapath selector.
-        let mut selected = Datapath::Auto;
-        // Absent in checkpoints written before per-point attribution.
-        let mut faults = SweepFaults::default();
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "scheme" => {
-                    let v = self.string()?;
-                    scheme = Some(Scheme::from_str(&v)?);
-                }
-                "msg_bytes" => {
-                    let v = self.number_or_null()?;
-                    if !(v.is_finite() && v >= 0.0) {
-                        return Err(self.err("msg_bytes must be a non-negative integer"));
-                    }
-                    msg_bytes = Some(v as usize);
-                }
-                "time" => time = self.number_or_null()?,
-                "bandwidth" => bandwidth = self.number_or_null()?,
-                "slowdown" => slowdown = self.number_or_null()?,
-                "status" => {
-                    let v = self.string()?;
-                    status = Some(PointStatus::from_str(&v)?);
-                }
-                "selected" => {
-                    let v = self.string()?;
-                    selected = Datapath::from_str(&v)?;
-                }
-                "faults" => faults = self.fault_stats()?,
-                other => return Err(self.err(&format!("unknown point key '{other}'"))),
-            }
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    break;
-                }
-                _ => return Err(self.err("expected ',' or '}' in point")),
-            }
-        }
-        Ok(SweepPoint {
-            scheme: scheme.ok_or_else(|| self.err("point missing 'scheme'"))?,
-            msg_bytes: msg_bytes.ok_or_else(|| self.err("point missing 'msg_bytes'"))?,
-            time,
-            bandwidth,
-            slowdown,
-            status: status.ok_or_else(|| self.err("point missing 'status'"))?,
-            selected,
-            faults,
-        })
-    }
-
-    /// A non-negative integer counter.
-    fn counter(&mut self) -> Result<u64, String> {
-        let v = self.number_or_null()?;
-        if !(v.is_finite() && v >= 0.0) {
-            return Err(self.err("counter must be a non-negative integer"));
-        }
-        Ok(v as u64)
-    }
-
-    fn fault_stats(&mut self) -> Result<SweepFaults, String> {
-        self.expect(b'{')?;
-        let mut f = SweepFaults::default();
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "transient_retries" => f.transient_retries = self.counter()?,
-                "delays" => f.delays = self.counter()?,
-                "corruptions" => f.corruptions = self.counter()?,
-                "failed_sends" => f.failed_sends = self.counter()?,
-                "poisoned_peers" => f.poisoned_peers = self.counter()?,
-                // v2 ladder counters; absent in older checkpoints (zeros).
-                "demotions" => f.demotions = self.counter()?,
-                "chunk_retries" => f.chunk_retries = self.counter()?,
-                "link_degradations" => f.link_degradations = self.counter()?,
-                "recv_crashes" => f.recv_crashes = self.counter()?,
-                other => return Err(self.err(&format!("unknown fault_stats key '{other}'"))),
-            }
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    break;
-                }
-                _ => return Err(self.err("expected ',' or '}' in fault_stats")),
-            }
-        }
-        Ok(f)
-    }
+    Ok(f)
 }
 
 /// Parse checkpoint JSON back into a [`Sweep`].
 pub fn from_json(s: &str) -> Result<Sweep, CheckpointError> {
-    let mut p = Parser::new(s);
-    p.expect(b'{')?;
+    let doc = match parse_json(s) {
+        Ok(doc) => doc,
+        Err(e) => {
+            // `to_json` writes the version stamp first. A truncated file
+            // from another schema must still be refused as a version
+            // mismatch, not read as corrupt (which starts fresh), so read
+            // the leading member on its own before failing on the body.
+            let head = &s[..s.find(',').unwrap_or(s.len())];
+            let head = parse_json(&format!("{head}}}")).ok();
+            if let Some(v) = head.as_ref().and_then(|h| h.get("schema_version")) {
+                check_version(v)?;
+            }
+            return Err(parse_error(e));
+        }
+    };
+    // Unversioned checkpoints (written before the stamp) read as version 1.
+    if let Some(v) = doc.get("schema_version") {
+        check_version(v)?;
+    }
     let mut platform = None;
     let mut points = Vec::new();
     // Absent in checkpoints written before fault accounting: zeros.
     let mut faults = SweepFaults::default();
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
+    for (key, v) in members(&doc, "a checkpoint")? {
         match key.as_str() {
-            "schema_version" => {
-                let found = p.counter()?;
-                if found != CHECKPOINT_SCHEMA_VERSION {
-                    return Err(CheckpointError::VersionMismatch {
-                        found,
-                        supported: CHECKPOINT_SCHEMA_VERSION,
-                    });
-                }
-            }
-            "platform" => {
-                let v = p.string()?;
-                platform = Some(PlatformId::from_str(&v)?);
-            }
+            "schema_version" => {}
+            "platform" => platform = Some(PlatformId::from_str(string(v, key)?)?),
             "points" => {
-                p.expect(b'[')?;
-                if p.peek() == Some(b']') {
-                    p.i += 1;
-                } else {
-                    loop {
-                        points.push(p.point()?);
-                        match p.peek() {
-                            Some(b',') => p.i += 1,
-                            Some(b']') => {
-                                p.i += 1;
-                                break;
-                            }
-                            _ => return Err(p.err("expected ',' or ']' in points").into()),
-                        }
-                    }
-                }
+                let items = v
+                    .as_array()
+                    .ok_or_else(|| parse_error("'points' must be an array"))?;
+                points = items.iter().map(point).collect::<Result<_, _>>()?;
             }
-            "fault_stats" => faults = p.fault_stats()?,
-            other => return Err(p.err(&format!("unknown top-level key '{other}'")).into()),
-        }
-        match p.peek() {
-            Some(b',') => p.i += 1,
-            Some(b'}') => break,
-            _ => return Err(p.err("expected ',' or '}' at top level").into()),
+            "fault_stats" => faults = fault_stats(v)?,
+            other => return Err(parse_error(format!("unknown top-level key '{other}'"))),
         }
     }
     Ok(Sweep {
-        platform: platform.ok_or_else(|| "checkpoint missing 'platform'".to_string())?,
+        platform: platform.ok_or_else(|| parse_error("checkpoint missing 'platform'"))?,
         points,
         faults,
     })
@@ -513,6 +429,40 @@ mod tests {
         let err = from_json("{\"platform\": \"skx-impi\", \"points\": [{\"bogus\": 1}]}")
             .unwrap_err();
         assert!(err.to_string().contains("bogus"), "{err}");
+    }
+
+    /// Unknown keys are refused at every level, naming the key.
+    #[test]
+    fn unknown_keys_are_named() {
+        for (doc, key) in [
+            (
+                "{\"platform\": \"skx-impi\", \"points\": [], \"extra\": 1}",
+                "extra",
+            ),
+            (
+                "{\"platform\": \"skx-impi\", \"fault_stats\": {\"gremlins\": 1}}",
+                "gremlins",
+            ),
+        ] {
+            let err = from_json(doc).unwrap_err();
+            assert!(matches!(err, CheckpointError::Parse(_)), "{err:?}");
+            assert!(err.to_string().contains(key), "{err}");
+        }
+    }
+
+    /// The version stamp is checked before a truncated body fails: a cut
+    /// file from another schema is a mismatch, one from this schema is a
+    /// parse error.
+    #[test]
+    fn truncated_checkpoints_keep_their_version_verdict() {
+        let cut = |v: u64| {
+            format!("{{\"schema_version\": {v}, \"platform\": \"skx-impi\", \"points\": [{{\"sch")
+        };
+        assert!(matches!(
+            from_json(&cut(99)),
+            Err(CheckpointError::VersionMismatch { found: 99, .. })
+        ));
+        assert!(matches!(from_json(&cut(1)), Err(CheckpointError::Parse(_))));
     }
 
     /// New checkpoints carry the schema version; checkpoints written

@@ -12,6 +12,7 @@
 
 mod appkernel;
 pub mod checkpoint;
+mod json;
 mod phases;
 mod pingpong;
 mod scheme;
@@ -33,6 +34,7 @@ pub use pingpong::{
     PING_TAG, PONG_TAG,
 };
 pub use checkpoint::{CheckpointError, CHECKPOINT_SCHEMA_VERSION};
+pub use json::{parse_json, Value};
 pub use scheme::Scheme;
 pub use stats::Stats;
 pub use sweep::{
