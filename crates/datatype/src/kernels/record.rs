@@ -34,7 +34,7 @@ pub struct RecordField {
 
 /// Compiled whole-instance transpose for a small all-`Copy` plan; built
 /// by the plan compiler when a type qualifies (see [`RecordKernel::new`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordKernel {
     fields: Vec<RecordField>,
     inst_size: usize,

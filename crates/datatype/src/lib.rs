@@ -57,12 +57,11 @@ pub use pack::{
     strided_form, unpack_from, unpack_from_uncompiled, unpack_with_position, Strided,
 };
 pub use plan::{
-    cache_stats, pack_threads, parallel_threshold, plan_cache_stats, plan_for, reset_cache_stats,
-    PackPlan, PlanCacheStats,
+    cache_stats, pack_threads, parallel_threshold, plan_for, PackPlan, PlanCacheStats,
 };
 pub use darray::{DistArg, Distribution};
 pub use describe::{layout_eq, TypeMapEntry};
-pub use normalize::{norm_counters, reset_norm_counters, NORMALIZE_LIST_CAP};
+pub use normalize::{norm_counters, NORMALIZE_LIST_CAP};
 pub use external::{pack_external, pack_external_size, unpack_external};
 pub use oracle::{check_type, OracleReport, TypeOracle, ORACLE_ENTRY_CAP};
 pub use primitive::{Primitive, Scalar};

@@ -45,12 +45,6 @@ pub fn norm_counters() -> (u64, u64) {
     (NORM_HITS.load(Ordering::Relaxed), NORM_MISSES.load(Ordering::Relaxed))
 }
 
-/// Zero the normalization hit/miss counters (memoized forms stay cached).
-pub fn reset_norm_counters() {
-    NORM_HITS.store(0, Ordering::Relaxed);
-    NORM_MISSES.store(0, Ordering::Relaxed);
-}
-
 /// Interner mapping canonical structure keys to process-unique ids.
 fn interner() -> &'static Mutex<HashMap<String, u64>> {
     static I: OnceLock<Mutex<HashMap<String, u64>>> = OnceLock::new();
@@ -683,7 +677,7 @@ fn canon_key(d: &Datatype, out: &mut String) {
 mod tests {
     use super::*;
     use crate::describe::layout_eq;
-    use crate::Datatype;
+    use crate::{Datatype, PackPlan};
 
     #[test]
     fn dense_vector_normalizes_to_contiguous() {
@@ -734,9 +728,11 @@ mod tests {
         let n = h.normalized();
         assert!(matches!(n.kind(), Kind::Vector { count: 6, blocklen: 1, stride: 2, .. }));
         assert!(layout_eq(&h, &n));
-        // And the canonical ids agree with the equivalent vector.
+        // And the canonical ids agree with the equivalent vector, whose
+        // separately compiled program is the same.
         let v = Datatype::vector(6, 1, 2, &Datatype::f64()).unwrap();
         assert_eq!(h.normalized_id(), v.normalized_id());
+        assert_eq!(PackPlan::compile(&n, 1), PackPlan::compile(&v.normalized(), 1));
     }
 
     #[test]
@@ -799,6 +795,10 @@ mod tests {
         let b = Datatype::vector(100, 1, 2, &Datatype::f64()).unwrap();
         assert_ne!(a.type_id(), b.type_id());
         assert_eq!(a.normalized_id(), b.normalized_id());
+        // Equal layouts compile to equal programs, without sharing a plan.
+        let pa = PackPlan::compile(&a.normalized(), 1);
+        assert!(pa.is_some());
+        assert_eq!(pa, PackPlan::compile(&b.normalized(), 1));
     }
 
     #[test]

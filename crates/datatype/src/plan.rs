@@ -15,8 +15,8 @@
 //! all-`Copy` struct plans.
 //!
 //! Plans for committed types live behind a bounded LRU cache keyed by
-//! [`Datatype::type_id`] (see [`plan_for`]), so the sweep's
-//! commit-once-pack-repeatedly pattern never re-walks the tree.
+//! `(`[`Datatype::normalized_id`]`, count)` (see [`plan_for`]), so the
+//! sweep's commit-once-pack-repeatedly pattern never re-walks the tree.
 //!
 //! Payloads at or above [`parallel_threshold`] bytes are partitioned at
 //! segment boundaries into chunks claimed dynamically by the persistent
@@ -68,8 +68,9 @@ impl PlanOp {
 /// A compiled pack program for `count` instances of one datatype.
 ///
 /// Immutable once built: execution takes `&self`, so a cached plan can be
-/// shared (via `Arc`) by any number of concurrent pack calls.
-#[derive(Debug)]
+/// shared (via `Arc`) by any number of concurrent pack calls. Equality is
+/// program equality: equal layouts compile to equal plans.
+#[derive(Debug, PartialEq, Eq)]
 pub struct PackPlan {
     /// Kernel program for one instance, in typemap (packed) order.
     ops: Vec<PlanOp>,
@@ -1149,8 +1150,8 @@ pub struct PlanCacheStats {
 
 impl PlanCacheStats {
     /// Counter deltas since an earlier snapshot (`size` stays absolute —
-    /// it is a level, not a counter). Saturating, so a reset between the
-    /// snapshots yields zeros rather than wrapping.
+    /// it is a level, not a counter). Saturating, so snapshots passed in
+    /// the wrong order yield zeros rather than wrapping.
     pub fn delta_since(self, base: PlanCacheStats) -> PlanCacheStats {
         PlanCacheStats {
             size: self.size,
@@ -1178,25 +1179,6 @@ pub fn cache_stats() -> PlanCacheStats {
         norm_hits,
         norm_misses,
     }
-}
-
-/// Zero the hit/miss/eviction/compile-time counters (and the
-/// normalization counters) without touching the cached plans themselves
-/// (warmed plans stay warm). For harnesses that want per-phase
-/// attribution of cache activity.
-pub fn reset_cache_stats() {
-    crate::normalize::reset_norm_counters();
-    let mut c = cache().lock().expect("plan cache poisoned");
-    c.hits = 0;
-    c.misses = 0;
-    c.evictions = 0;
-    c.compile_nanos = 0;
-}
-
-/// Snapshot the plan-cache counters (alias of [`cache_stats`], kept for
-/// existing callers).
-pub fn plan_cache_stats() -> PlanCacheStats {
-    cache_stats()
 }
 
 #[cfg(test)]
@@ -1361,22 +1343,14 @@ mod tests {
         ));
     }
 
-    /// Serializes tests that assert on the process-global cache counters
-    /// (the reset in `stats_delta_and_compile_time` would race them).
-    fn stats_lock() -> &'static std::sync::Mutex<()> {
-        static L: OnceLock<std::sync::Mutex<()>> = OnceLock::new();
-        L.get_or_init(|| std::sync::Mutex::new(()))
-    }
-
     #[test]
     fn cache_is_bounded_and_hits_on_reuse() {
-        let _g = stats_lock().lock().unwrap();
         let d = Datatype::vector(4, 1, 2, &Datatype::f64()).unwrap().commit();
-        let before = plan_cache_stats();
+        let before = cache_stats();
         let a = plan_for(&d, 1).expect("plannable");
         let b = plan_for(&d, 1).expect("plannable");
         assert!(Arc::ptr_eq(&a, &b));
-        let after = plan_cache_stats();
+        let after = cache_stats();
         assert!(after.hits > before.hits);
         // flood with distinct types; the cache must stay bounded
         for i in 0..(PLAN_CACHE_CAP + 40) {
@@ -1385,7 +1359,7 @@ mod tests {
                 .commit();
             let _ = plan_for(&t, 1);
         }
-        assert!(plan_cache_stats().size <= PLAN_CACHE_CAP);
+        assert!(cache_stats().size <= PLAN_CACHE_CAP);
     }
 
     #[test]
@@ -1396,7 +1370,6 @@ mod tests {
 
     #[test]
     fn stats_delta_and_compile_time() {
-        let _g = stats_lock().lock().unwrap();
         let base = cache_stats();
         let d = Datatype::vector(6, 3, 5, &Datatype::f64()).unwrap().commit();
         let _ = plan_for(&d, 2).expect("plannable");
@@ -1408,12 +1381,8 @@ mod tests {
         // round to zero on coarse timers; accept either but require the
         // counter not to wrap)
         assert!(cache_stats().compile_nanos >= base.compile_nanos);
-        // a reset between snapshots saturates instead of wrapping
-        let high = cache_stats();
-        reset_cache_stats();
-        let after = cache_stats().delta_since(high);
-        assert_eq!(after.hits, 0);
-        assert_eq!(after.misses, 0);
-        assert_eq!(after.compile_nanos, 0);
+        // Snapshots taken in the wrong order saturate instead of wrapping.
+        let back = base.delta_since(cache_stats());
+        assert_eq!((back.hits, back.misses, back.compile_nanos), (0, 0, 0));
     }
 }
