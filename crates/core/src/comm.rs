@@ -52,8 +52,8 @@ pub struct Comm {
     /// Aggregate counters/histograms; boxed so the disabled (`None`) case
     /// costs one pointer in the struct and one branch per operation.
     pub(crate) metrics: Option<Box<MetricsRegistry>>,
-    /// Rank-local growable staging buffer, reused across collective calls
-    /// (gather/gatherv receive staging) instead of allocating per receive.
+    /// Rank-local growable staging buffer, reused across calls (the
+    /// schemes' pack buffers) instead of allocating per message.
     pub(crate) scratch: Vec<u8>,
 }
 

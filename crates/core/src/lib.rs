@@ -31,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-mod cart;
 mod coll;
 mod comm;
 mod error;
@@ -40,14 +39,12 @@ mod invariants;
 pub mod metrics;
 mod nonblocking;
 mod p2p;
-mod persistent;
 mod packbuf;
 mod rma;
 pub mod selector;
 pub mod trace;
 mod universe;
 
-pub use cart::CartTopology;
 pub use coll::{Reducible, ReduceOp};
 pub use comm::{CacheState, Comm};
 pub use error::{CoreError, Result};
@@ -55,7 +52,6 @@ pub use fabric::FaultStats;
 pub use invariants::{oracle_checks_enabled, set_oracle_checks};
 pub use metrics::{Histogram, MetricsSnapshot};
 pub use nonblocking::{RecvRequest, SendRequest};
-pub use persistent::{PersistentRecv, PersistentSend};
 pub use p2p::{RecvStatus, BSEND_OVERHEAD_BYTES, CHUNK_RING_DEPTH, MAX_SEND_ATTEMPTS};
 pub use rma::{Window, WindowState};
 pub use selector::{

@@ -122,69 +122,6 @@ fn collectives_work_inside_split() {
         sub.bcast(&mut v, 0).unwrap();
         // Subgroup 0 = world ranks {0,2,4} rooted at 0; subgroup 1 = {1,3,5} at 1.
         assert_eq!(v[0], (comm.rank() % 2) as f64);
-        // gather inside the subgroup.
-        let send = [sub.rank() as f64];
-        let mut recv = vec![0.0f64; sub.size()];
-        sub.gather(&send, &mut recv, 0).unwrap();
-        if sub.rank() == 0 {
-            assert_eq!(recv, vec![0.0, 1.0, 2.0]);
-        }
-    });
-}
-
-#[test]
-fn gatherv_variable_counts() {
-    Universe::run(quiet(), 4, |comm| {
-        // rank r contributes r+1 elements
-        let counts = [1usize, 2, 3, 4];
-        let displs = [0usize, 1, 3, 6];
-        let send: Vec<f64> = (0..counts[comm.rank()])
-            .map(|i| (comm.rank() * 10 + i) as f64)
-            .collect();
-        let mut recv = vec![-1.0f64; 10];
-        comm.gatherv(&send, &mut recv, &counts, &displs, 1).unwrap();
-        if comm.rank() == 1 {
-            assert_eq!(
-                recv,
-                vec![0.0, 10.0, 11.0, 20.0, 21.0, 22.0, 30.0, 31.0, 32.0, 33.0]
-            );
-        }
-    });
-}
-
-#[test]
-fn scatterv_variable_counts() {
-    Universe::run(quiet(), 3, |comm| {
-        let counts = [2usize, 1, 3];
-        let displs = [0usize, 2, 3];
-        let send: Vec<f64> = if comm.rank() == 0 {
-            (0..6).map(|i| i as f64).collect()
-        } else {
-            Vec::new()
-        };
-        let mut recv = vec![0.0f64; counts[comm.rank()]];
-        comm.scatterv(&send, &counts, &displs, &mut recv, 0).unwrap();
-        match comm.rank() {
-            0 => assert_eq!(recv, vec![0.0, 1.0]),
-            1 => assert_eq!(recv, vec![2.0]),
-            _ => assert_eq!(recv, vec![3.0, 4.0, 5.0]),
-        }
-    });
-}
-
-#[test]
-fn gatherv_inside_split_subgroup() {
-    Universe::run(quiet(), 4, |comm| {
-        let mut sub = comm.split((comm.rank() % 2) as i64, 0).unwrap().expect("member");
-        let counts = [1usize, 2];
-        let displs = [0usize, 1];
-        let send = vec![comm.rank() as f64; counts[sub.rank()]];
-        let mut recv = vec![-1.0f64; 3];
-        sub.gatherv(&send, &mut recv, &counts, &displs, 0).unwrap();
-        if sub.rank() == 0 {
-            let other = comm.rank() + 2; // world rank of sub rank 1
-            assert_eq!(recv, vec![comm.rank() as f64, other as f64, other as f64]);
-        }
     });
 }
 

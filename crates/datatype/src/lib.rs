@@ -30,9 +30,7 @@
 #![warn(missing_docs)]
 
 mod builder;
-mod darray;
 mod describe;
-mod external;
 mod error;
 mod node;
 mod primitive;
@@ -59,10 +57,8 @@ pub use pack::{
 pub use plan::{
     cache_stats, pack_threads, parallel_threshold, plan_for, PackPlan, PlanCacheStats,
 };
-pub use darray::{DistArg, Distribution};
 pub use describe::{layout_eq, TypeMapEntry};
 pub use normalize::{norm_counters, NORMALIZE_LIST_CAP};
-pub use external::{pack_external, pack_external_size, unpack_external};
 pub use oracle::{check_type, OracleReport, TypeOracle, ORACLE_ENTRY_CAP};
 pub use primitive::{Primitive, Scalar};
 pub use segiter::SegIter;

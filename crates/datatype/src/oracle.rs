@@ -13,9 +13,8 @@
 //! [`check_type`] runs the full differential battery for one `(type,
 //! count, seed)` case: cached metadata vs. the map, the compiled pack-plan
 //! engine and the uncompiled fallback vs. reference pack/unpack, chunk
-//! sub-range pack/unpack at oracle-chosen cut points, and the external32
-//! round trip. Failures come back as an [`OracleReport`] carrying a
-//! reproducible description of the case.
+//! sub-range pack/unpack at oracle-chosen cut points. Failures come back
+//! as an [`OracleReport`] carrying a reproducible description of the case.
 
 use crate::describe::TypeMapEntry;
 use crate::node::{ArrayOrder, Datatype, Kind};
@@ -554,27 +553,6 @@ pub fn check_type(t: &Datatype, count: usize, seed: u64) -> Result<(), Box<Oracl
                 dst_ref.iter().zip(dst_piece.iter()).position(|(a, b)| a != b)
             ));
         }
-    }
-
-    // --- external32 round trip --------------------------------------------
-    let ext32 = match crate::external::pack_external(&src, origin, &t, count) {
-        Ok(v) => v,
-        Err(e) => return fail(format!("pack_external failed: {e}")),
-    };
-    match crate::external::pack_external_size(&t, count) {
-        Ok(n) if n == ext32.len() => {}
-        Ok(n) => return fail(format!("pack_external_size {} vs actual {}", n, ext32.len())),
-        Err(e) => return fail(format!("pack_external_size failed: {e}")),
-    }
-    let mut dst_ext = vec![0u8; buf_len];
-    if let Err(e) = crate::external::unpack_external(&ext32, &t, count, &mut dst_ext, origin) {
-        return fail(format!("unpack_external failed: {e}"));
-    }
-    if dst_ext != dst_ref {
-        return fail(format!(
-            "external32 round trip diverges from reference at byte {:?}",
-            dst_ref.iter().zip(dst_ext.iter()).position(|(a, b)| a != b)
-        ));
     }
 
     Ok(())

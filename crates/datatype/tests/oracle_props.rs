@@ -1,6 +1,6 @@
 //! Differential property tests: every production engine (cached node
 //! metadata, compiled pack plans, the uncompiled fallback, chunk
-//! sub-ranges, external32) against the naive typemap interpreter in
+//! sub-ranges) against the naive typemap interpreter in
 //! `nonctg_datatype::oracle`, over adversarially-constructed types —
 //! zero-length blocks, negative strides, LB/UB-style padding, deep mixed
 //! nests — plus deterministic pins for the classes the oracle has caught.

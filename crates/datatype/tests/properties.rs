@@ -417,11 +417,11 @@ fn hostile_regular_inputs_keep_their_results() {
 }
 
 /// Deeply nested stress: five levels of composition over a realistic
-/// footprint must keep all invariants, round-trip through the packed form
-/// and through external32, and match the same tree built afresh.
+/// footprint must keep all invariants, round-trip through the packed form,
+/// and match the same tree built afresh.
 #[test]
 fn deep_nesting_stress() {
-    use nonctg_datatype::{layout_eq, pack_external, unpack_external};
+    use nonctg_datatype::layout_eq;
 
     // struct { 2 x i32; vector(3, 2, 5) of (contiguous 2 f64) } repeated
     // in an hvector, selected by an indexed type.
@@ -446,13 +446,6 @@ fn deep_nesting_stress() {
         let r = b.offset as usize..(b.offset + b.len as i64) as usize;
         assert_eq!(&back[r.clone()], &src[r]);
     }
-
-    // external32 round-trip too.
-    let ext = pack_external(&src, 0, &top, 1).unwrap();
-    assert_eq!(ext.len(), packed.len());
-    let mut back2 = vec![0u8; span];
-    unpack_external(&ext, &top, 1, &mut back2, 0).unwrap();
-    assert_eq!(back, back2);
 
     // The committed type has the typemap of an uncommitted rebuild.
     let fresh = Datatype::indexed(&[(1, 0), (1, 2)], &Datatype::hvector(4, 1, 512,

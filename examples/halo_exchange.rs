@@ -11,7 +11,7 @@
 //! cargo run --release --example halo_exchange
 //! ```
 
-use nonctg::core::{CartTopology, Comm, Universe};
+use nonctg::core::{Comm, Universe};
 use nonctg::datatype::{as_bytes, as_bytes_mut, ArrayOrder, Datatype};
 use nonctg::simnet::Platform;
 
@@ -26,11 +26,9 @@ fn at(row: usize, col: usize) -> usize {
 
 fn run(comm: &mut Comm) -> f64 {
     let rank = comm.rank();
-    // Addressing via the Cartesian topology (MPI_Cart_create equivalent).
-    let cart: CartTopology = comm.cart_create(&[2, 2], &[false, false]).expect("cart");
-    let coords = cart.coords(rank).expect("coords");
-    let (my_r, my_c) = (coords[0], coords[1]);
-    let rank_of = |r: usize, c: usize| cart.rank_of(&[r as i64, c as i64]).expect("rank");
+    // Row-major addressing on the 2x2 rank grid.
+    let (my_r, my_c) = (rank / 2, rank % 2);
+    let rank_of = |r: usize, c: usize| r * 2 + c;
 
     // Local grid with ghost ring; interior initialized to a rank-tagged
     // pattern so neighbors can verify provenance.
