@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nonctg_datatype::{
-    as_bytes, available_tiers, pack_into, pack_into_uncompiled, pack_threads, simd_tier,
+    as_bytes, available_tiers, pack_into, pack_into_uncompiled, simd_tier,
     ArrayOrder, Datatype, PackPlan,
 };
 use std::hint::black_box;
@@ -135,30 +135,6 @@ fn bench_plan_vs_uncompiled(c: &mut Criterion) {
     g.finish();
 }
 
-/// Partitioned parallel pack: one worker vs. the configured pool on a
-/// 64 MB strided payload. On a single-core runner the two coincide; the
-/// >= 1.5x win needs a multi-core machine.
-fn bench_pack_threads(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pack_threads");
-    g.sample_size(10);
-    let n = 8usize << 20; // 8M f64 = 64 MB packed out of a 128 MB source
-    let src: Vec<f64> = (0..2 * n).map(|i| i as f64).collect();
-    let vec_t = Datatype::vector(n, 1, 2, &Datatype::f64()).unwrap();
-    let plan = PackPlan::compile(&vec_t, 1).unwrap();
-    let mut out = vec![0u8; n * 8];
-    let workers = pack_threads().max(2);
-    g.throughput(Throughput::Bytes((n * 8) as u64));
-    g.bench_function("threads_1", |b| {
-        b.iter(|| plan.pack_into_with(black_box(as_bytes(&src)), 0, &mut out, 1).unwrap());
-    });
-    g.bench_function(format!("threads_{workers}"), |b| {
-        b.iter(|| {
-            plan.pack_into_with(black_box(as_bytes(&src)), 0, &mut out, workers).unwrap()
-        });
-    });
-    g.finish();
-}
-
 /// The runtime-dispatched kernel tiers head to head through the forced
 /// plan hook, on the shapes the SIMD kernels target: the 8-byte strided
 /// gather, the pshufb struct record, an odd-block (loose-16) vector,
@@ -176,8 +152,7 @@ fn bench_simd_tiers(c: &mut Criterion) {
     for tier in available_tiers() {
         g.bench_with_input(BenchmarkId::new("strided8_1MB", tier.name()), &tier, |b, &t| {
             b.iter(|| {
-                plan.pack_into_forced(black_box(as_bytes(&src)), 0, &mut out, 1, t, false)
-                    .unwrap()
+                plan.pack_into_forced(black_box(as_bytes(&src)), 0, &mut out, t, false).unwrap()
             });
         });
     }
@@ -191,7 +166,7 @@ fn bench_simd_tiers(c: &mut Criterion) {
     for tier in available_tiers() {
         g.bench_with_input(BenchmarkId::new("struct_record_1MB", tier.name()), &tier, |b, &t| {
             b.iter(|| {
-                st_plan.pack_into_forced(black_box(&st_src), 0, &mut st_out, 1, t, false).unwrap()
+                st_plan.pack_into_forced(black_box(&st_src), 0, &mut st_out, t, false).unwrap()
             });
         });
     }
@@ -207,7 +182,7 @@ fn bench_simd_tiers(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("loose3_1MB", tier.name()), &tier, |b, &t| {
             b.iter(|| {
                 loose_plan
-                    .pack_into_forced(black_box(&loose_src), 0, &mut loose_out, 1, t, false)
+                    .pack_into_forced(black_box(&loose_src), 0, &mut loose_out, t, false)
                     .unwrap()
             });
         });
@@ -224,9 +199,8 @@ fn bench_simd_tiers(c: &mut Criterion) {
     for stream in [false, true] {
         g.bench_function(format!("strided8_64MB_stream_{stream}"), |b| {
             b.iter(|| {
-                big_plan
-                    .pack_into_forced(black_box(as_bytes(&big)), 0, &mut big_out, 1, simd_tier(), stream)
-                    .unwrap()
+                let src = black_box(as_bytes(&big));
+                big_plan.pack_into_forced(src, 0, &mut big_out, simd_tier(), stream).unwrap()
             });
         });
     }
@@ -254,7 +228,6 @@ criterion_group!(
     bench_pack_vs_hand_loop,
     bench_pack_paths,
     bench_plan_vs_uncompiled,
-    bench_pack_threads,
     bench_simd_tiers,
     bench_unpack
 );

@@ -285,12 +285,9 @@ pub struct FaultStats {
     /// Sends that fell back to the uncompiled pack path after a pack-plan
     /// compile/allocation failure.
     pub plan_fallbacks: u64,
-    /// Packs that fell back from the parallel kernel to the serial one
-    /// after a worker failure.
-    pub serial_fallbacks: u64,
     /// Sends demoted from the zero-copy iovec datapath to the pack-plan
-    /// path after an injected fault (pool exhaustion or worker failure
-    /// while the region list was being gathered).
+    /// path: after an injected payload-pool exhaustion, or because the
+    /// plan lowers to more regions than the iovec cap.
     pub iovec_demotions: u64,
     /// Sends charged a sustained link-degradation latency surcharge.
     pub link_degradations: u64,
@@ -313,7 +310,6 @@ impl FaultStats {
         self.chunk_retries += other.chunk_retries;
         self.pool_exhaustions += other.pool_exhaustions;
         self.plan_fallbacks += other.plan_fallbacks;
-        self.serial_fallbacks += other.serial_fallbacks;
         self.iovec_demotions += other.iovec_demotions;
         self.link_degradations += other.link_degradations;
         self.recv_crashes += other.recv_crashes;
@@ -324,9 +320,7 @@ impl FaultStats {
     /// Total graceful demotions: every time the runtime swapped a faster
     /// datapath for a slower-but-correct one instead of failing.
     pub fn demotions(&self) -> u64 {
-        self.pipeline_demotions + self.pool_exhaustions + self.plan_fallbacks
-            + self.serial_fallbacks
-            + self.iovec_demotions
+        self.pipeline_demotions + self.pool_exhaustions + self.plan_fallbacks + self.iovec_demotions
     }
 
     /// Whether every counter is zero.
@@ -818,7 +812,6 @@ mod tests {
         let mut a = FaultStats { pipeline_demotions: 2, pool_exhaustions: 1, ..Default::default() };
         let b = FaultStats {
             plan_fallbacks: 3,
-            serial_fallbacks: 4,
             iovec_demotions: 6,
             chunk_retries: 5,
             timeouts: 1,
@@ -828,7 +821,7 @@ mod tests {
             ..Default::default()
         };
         a.absorb(b);
-        assert_eq!(a.demotions(), 2 + 1 + 3 + 4 + 6);
+        assert_eq!(a.demotions(), 2 + 1 + 3 + 6);
         assert_eq!(a.chunk_retries, 5);
         assert_eq!(a.timeouts, 1);
         assert_eq!(a.cancels, 2);

@@ -295,7 +295,7 @@ impl MetricsSnapshot {
         let f = &self.faults;
         let _ = writeln!(
             s,
-            "  \"faults\": {{\"transient_retries\": {}, \"delays\": {}, \"corruptions\": {}, \"failed_sends\": {}, \"pipeline_demotions\": {}, \"chunk_retries\": {}, \"pool_exhaustions\": {}, \"plan_fallbacks\": {}, \"serial_fallbacks\": {}, \"iovec_demotions\": {}, \"link_degradations\": {}, \"recv_crashes\": {}, \"timeouts\": {}, \"cancels\": {}, \"demotions\": {}}},",
+            "  \"faults\": {{\"transient_retries\": {}, \"delays\": {}, \"corruptions\": {}, \"failed_sends\": {}, \"pipeline_demotions\": {}, \"chunk_retries\": {}, \"pool_exhaustions\": {}, \"plan_fallbacks\": {}, \"iovec_demotions\": {}, \"link_degradations\": {}, \"recv_crashes\": {}, \"timeouts\": {}, \"cancels\": {}, \"demotions\": {}}},",
             f.transient_retries,
             f.delays,
             f.corruptions,
@@ -304,7 +304,6 @@ impl MetricsSnapshot {
             f.chunk_retries,
             f.pool_exhaustions,
             f.plan_fallbacks,
-            f.serial_fallbacks,
             f.iovec_demotions,
             f.link_degradations,
             f.recv_crashes,

@@ -274,7 +274,6 @@ impl Comm {
         // seed makes identical choices.
         let mut corrupt_idx = None;
         let mut pool_fault = false; // pooled staging -> owned buffers
-        let mut serial_pack = false; // parallel pack -> serial kernel
         let mut plan_failed = false; // compiled plan -> uncompiled kernel
         if let Some(plan) = &p.fault {
             if plan.should_crash(me, op) {
@@ -324,7 +323,7 @@ impl Comm {
 
             // Plan compilation failure: the compiled pack plan for this
             // derived type "fails to build", so the send falls back to
-            // the uncompiled serial interpreter — which also rules out
+            // the uncompiled interpreter — which also rules out
             // the chunk-streaming path (it requires a compiled plan).
             if !contiguous && plan.plan_compile_fails(me, op) {
                 plan_failed = true;
@@ -359,21 +358,6 @@ impl Comm {
             if plan.pool_exhausted(me, op) {
                 pool_fault = true;
                 sup.with_faults(me, |s| s.pool_exhaustions += 1);
-                let t = self.clock.now();
-                self.trace(crate::trace::EventKind::Demote, t, Some(dst), bytes as usize, Some(tag));
-            }
-
-            // Parallel-pack worker failure: only meaningful when this
-            // send would actually have fanned the pack out; the fallback
-            // is the serial kernel (`pack_into_serial` / threads = 1).
-            if !plan_failed
-                && !contiguous
-                && plan.pack_worker_fails(me, op)
-                && dt::pack_threads() > 1
-                && bytes as usize >= dt::parallel_threshold()
-            {
-                serial_pack = true;
-                sup.with_faults(me, |s| s.serial_fallbacks += 1);
                 let t = self.clock.now();
                 self.trace(crate::trace::EventKind::Demote, t, Some(dst), bytes as usize, Some(tag));
             }
@@ -427,10 +411,10 @@ impl Comm {
             };
             match choice {
                 Datapath::Iov if regions.is_some() => {
-                    if pool_fault || serial_pack {
-                        // Fault rung: with its staging pool gone or its
-                        // gather workers failing, the zero-copy path
-                        // demotes to the pack plan for this send.
+                    if pool_fault {
+                        // Fault rung: with its staging pool gone, the
+                        // zero-copy path demotes to the pack plan for
+                        // this send.
                         sup.with_faults(me, |s| s.iovec_demotions += 1);
                         let t = self.clock.now();
                         self.trace(
@@ -482,7 +466,7 @@ impl Comm {
         if let Some(plan) = stream_plan {
             return self.stream_send(
                 buf, origin, &plan, bytes, &access, warm, &p, dst, tag, sig, corrupt_idx, op,
-                pool_fault, serial_pack,
+                pool_fault,
             );
         }
 
@@ -498,8 +482,6 @@ impl Comm {
         };
         if plan_failed || elem_pack {
             dt::pack_into_uncompiled(buf, origin, dtype, count, &mut packed)?;
-        } else if serial_pack {
-            dt::pack_into_serial(buf, origin, dtype, count, &mut packed)?;
         } else {
             dt::pack_into(buf, origin, dtype, count, &mut packed)?;
         }
@@ -628,7 +610,6 @@ impl Comm {
         corrupt_idx: Option<usize>,
         op: u64,
         pool_fault: bool,
-        serial_pack: bool,
     ) -> Result<SendRequest> {
         let t_stage = self.clock.now();
         self.charge(p.staging_time(bytes, access, warm));
@@ -674,12 +655,7 @@ impl Comm {
             let n = (hi - lo) as usize;
             let mut cbuf =
                 if pool_fault { PooledBuf::detached(vec![0u8; n]) } else { pool.take(n) };
-            let packed = if serial_pack {
-                plan.pack_range_into_with(buf, origin, &mut cbuf, lo, hi, 1)
-            } else {
-                plan.pack_range_into(buf, origin, &mut cbuf, lo, hi)
-            };
-            if let Err(e) = packed {
+            if let Err(e) = plan.pack_range_into(buf, origin, &mut cbuf, lo, hi) {
                 break Err(crate::error::CoreError::from(e));
             }
             // Per-chunk fault mid-pipeline: the faulted staging buffer is
@@ -701,12 +677,7 @@ impl Comm {
                     } else {
                         pool.take(n)
                     };
-                    let repacked = if serial_pack {
-                        plan.pack_range_into_with(buf, origin, &mut cbuf, lo, hi, 1)
-                    } else {
-                        plan.pack_range_into(buf, origin, &mut cbuf, lo, hi)
-                    };
-                    if let Err(e) = repacked {
+                    if let Err(e) = plan.pack_range_into(buf, origin, &mut cbuf, lo, hi) {
                         break Err(crate::error::CoreError::from(e));
                     }
                     sup.with_faults(me, |s| s.chunk_retries += 1);

@@ -37,9 +37,10 @@ impl Comm {
     ///
     /// An explicit pack rides the same degradation ladder as the
     /// internal staging pack: an injected plan-compile failure falls
-    /// back to the uncompiled interpreter, an injected parallel-pack
-    /// worker failure pins the serial kernel — both counted in
-    /// [`crate::FaultStats`] and traced as demotions.
+    /// back to the uncompiled interpreter, counted in
+    /// [`crate::FaultStats`] and traced as a demotion. A `position` past
+    /// the end of `outbuf` is rejected before any fault decision, so a
+    /// rejected call consumes no fault op and counts no demotion.
     pub fn pack(
         &mut self,
         src: &[u8],
@@ -51,9 +52,15 @@ impl Comm {
     ) -> Result<()> {
         dtype.require_committed()?;
         let bytes = dt::pack_size(dtype, count)? as u64;
+        if *position > outbuf.len() {
+            return Err(dt::DatatypeError::InvalidPosition {
+                position: *position,
+                buffer_len: outbuf.len(),
+            }
+            .into());
+        }
         let access = Access::classify(dtype);
         let mut plan_failed = false;
-        let mut serial = false;
         if !matches!(access, Access::Contiguous) {
             if let Some(fp) = self.platform().fault.clone() {
                 let me = self.world_rank();
@@ -64,28 +71,11 @@ impl Comm {
                     sup.with_faults(me, |s| s.plan_fallbacks += 1);
                     let t = self.wtime();
                     self.trace(crate::trace::EventKind::Demote, t, None, bytes as usize, None);
-                } else if fp.pack_worker_fails(me, op)
-                    && dt::pack_threads() > 1
-                    && bytes as usize >= dt::parallel_threshold()
-                {
-                    serial = true;
-                    sup.with_faults(me, |s| s.serial_fallbacks += 1);
-                    let t = self.wtime();
-                    self.trace(crate::trace::EventKind::Demote, t, None, bytes as usize, None);
                 }
             }
         }
-        if *position > outbuf.len() {
-            return Err(dt::DatatypeError::InvalidPosition {
-                position: *position,
-                buffer_len: outbuf.len(),
-            }
-            .into());
-        }
         let written = if plan_failed {
             dt::pack_into_uncompiled(src, origin, dtype, count, &mut outbuf[*position..])?
-        } else if serial {
-            dt::pack_into_serial(src, origin, dtype, count, &mut outbuf[*position..])?
         } else {
             dt::pack_into(src, origin, dtype, count, &mut outbuf[*position..])?
         };

@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use nonctg_core::datatype::Datatype;
+use nonctg_core::datatype::{Datatype, DatatypeError};
 use nonctg_core::{set_oracle_checks, CoreError, FaultStats, Universe};
 use nonctg_simnet::{FaultPlan, Platform};
 
@@ -166,42 +166,11 @@ fn chunk_fault_storm_demotes_to_monolithic() {
     assert_eq!(sstats.chunk_retries, 0, "demoted send must not stream chunks");
 }
 
-/// Rung 5: a parallel-pack worker failure pins the pack to the serial
-/// kernel. Only observable when the pack would have gone parallel.
-#[test]
-fn pack_worker_failure_pins_serial_kernel() {
-    let (count, blocklen, stride) = (1 << 20, 16usize, 32i64);
-    let src_len = (count - 1) * stride as usize + blocklen;
-    let src = pattern(src_len);
-    let vtype = Datatype::vector(count, blocklen, stride, &Datatype::byte()).unwrap().commit();
-    let plan = FaultPlan::quiet(8).with_pack_worker_failures(1.0);
-    // Disable streaming so the 16 MiB payload stays on the monolithic
-    // path whose pack the fault pins serial.
-    let p = short_timeout(5.0).without_pipeline().with_fault_plan(plan);
-    let src_for_run = src.clone();
-    let vt = vtype.clone();
-    let results = Universe::run_supervised(p, 2, move |comm| {
-        if comm.rank() == 0 {
-            comm.send(&src_for_run, 0, &vt, 1, 1, 0)?;
-            Ok((comm.fault_stats(), 0u8))
-        } else {
-            let mut buf = vec![0u8; src_len];
-            comm.recv(&mut buf, 0, &vt, 1, Some(0), Some(0))?;
-            Ok((comm.fault_stats(), buf[7]))
-        }
-    });
-    let (sstats, _) = results[0].as_ref().unwrap();
-    let would_parallelize = nonctg_core::datatype::pack_threads() > 1
-        && count * blocklen >= nonctg_core::datatype::parallel_threshold();
-    if would_parallelize {
-        assert!(sstats.serial_fallbacks >= 1, "serial fallback not counted: {sstats:?}");
-    }
-    assert_eq!(results[1].as_ref().unwrap().1, src[7], "payload corrupted");
-}
-
 /// An explicit `MPI_Pack` call rides the same ladder as the internal
 /// staging pack: a plan-compile failure falls back to the uncompiled
-/// interpreter with identical output, counted as a demotion.
+/// interpreter with identical output, counted as a demotion. A call
+/// rejected for its position is not a demotion: it is refused before
+/// any fault decision.
 #[test]
 fn explicit_pack_rides_the_ladder() {
     let (count, blocklen, stride) = (512usize, 16usize, 32i64);
@@ -220,6 +189,14 @@ fn explicit_pack_rides_the_ladder() {
     let results = Universe::run_supervised(p, 2, move |comm| {
         if comm.rank() == 0 {
             let mut out = vec![0u8; packed_len];
+            let mut pos = out.len() + 1;
+            let err = comm.pack(&src_for_run, 0, &vtype, 1, &mut out, &mut pos).unwrap_err();
+            assert!(
+                matches!(err, CoreError::Datatype(DatatypeError::InvalidPosition { .. })),
+                "unexpected error: {err:?}"
+            );
+            let rejected = comm.fault_stats();
+            assert_eq!(rejected.plan_fallbacks, 0, "rejected pack counted a demotion");
             let mut pos = 0usize;
             comm.pack(&src_for_run, 0, &vtype, 1, &mut out, &mut pos)?;
             assert_eq!(pos, packed_len);

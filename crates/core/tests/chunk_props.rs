@@ -7,8 +7,6 @@
 //! (threshold of one byte streams every eligible rendezvous send) and the
 //! baseline with `Platform::without_pipeline()`. Jitter stays ON: bit-equal
 //! times prove both paths consume the same jitter draws in the same order.
-//! CI additionally runs this suite under `NONCTG_PACK_THREADS=4` so the
-//! threaded sub-range pack/unpack kernels get the same differential check.
 
 use nonctg_core::Universe;
 use nonctg_datatype::{as_bytes, as_bytes_mut, Datatype};

@@ -34,7 +34,6 @@
 
 use std::sync::OnceLock;
 
-pub(crate) mod pool;
 mod record;
 mod scalar;
 

@@ -51,7 +51,7 @@ pub use kernels::{
 };
 pub use node::{ArrayOrder, Block, Datatype, Kind, StructField};
 pub use pack::{
-    pack, pack_into, pack_into_serial, pack_into_uncompiled, pack_size, pack_with_position,
+    pack, pack_into, pack_into_uncompiled, pack_size, pack_with_position,
     strided_form, unpack_from, unpack_from_uncompiled, unpack_with_position, Strided,
 };
 pub use plan::{

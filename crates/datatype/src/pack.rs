@@ -270,8 +270,8 @@ fn strided_scatter_fixed<const BL: usize>(
 ///
 /// Committed types go through the compiled-plan engine (see
 /// [`crate::plan`]): the kernel program is fetched from the bounded plan
-/// cache (compiled on first use) and executed, parallelized for large
-/// payloads. Everything else falls back to [`pack_into_uncompiled`].
+/// cache (compiled on first use) and executed on the calling thread.
+/// Everything else falls back to [`pack_into_uncompiled`].
 pub fn pack_into(
     src: &[u8],
     origin: usize,
@@ -281,24 +281,6 @@ pub fn pack_into(
 ) -> Result<usize> {
     if let Some(plan) = crate::plan::plan_for(dtype, count) {
         return plan.pack_into(src, origin, dst);
-    }
-    pack_into_uncompiled(src, origin, dtype, count, dst)
-}
-
-/// Pack with the compiled plan pinned to a single worker — the serial
-/// kernel the runtime degrades to when a parallel pack worker fails.
-/// Bypasses the size-threshold auto-parallelization of [`pack_into`];
-/// types without a compiled plan use the uncompiled interpreter, which
-/// is serial anyway.
-pub fn pack_into_serial(
-    src: &[u8],
-    origin: usize,
-    dtype: &Datatype,
-    count: usize,
-    dst: &mut [u8],
-) -> Result<usize> {
-    if let Some(plan) = crate::plan::plan_for(dtype, count) {
-        return plan.pack_into_with(src, origin, dst, 1);
     }
     pack_into_uncompiled(src, origin, dtype, count, dst)
 }
@@ -499,25 +481,6 @@ mod tests {
         let d = Datatype::contiguous(16, &Datatype::f64()).unwrap().commit();
         let p = pack(&src, 0, &d, 1).unwrap();
         assert_eq!(p, src);
-    }
-
-    #[test]
-    fn pack_into_serial_matches_default_engine() {
-        let src = f64s(64);
-        let d = Datatype::vector(16, 1, 2, &Datatype::f64()).unwrap().commit();
-        let mut fast = vec![0u8; 16 * 8 * 2];
-        let mut serial = vec![0u8; 16 * 8 * 2];
-        let a = pack_into(&src, 0, &d, 2, &mut fast).unwrap();
-        let b = pack_into_serial(&src, 0, &d, 2, &mut serial).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(fast, serial);
-        // Uncommitted types have no compiled plan; the serial entry point
-        // must still pack them (via the uncompiled interpreter).
-        let raw = Datatype::vector(16, 1, 2, &Datatype::f64()).unwrap();
-        let mut uncompiled = vec![0u8; 16 * 8 * 2];
-        let c = pack_into_serial(&src, 0, &raw, 2, &mut uncompiled).unwrap();
-        assert_eq!(c, a);
-        assert_eq!(uncompiled, fast);
     }
 
     #[test]

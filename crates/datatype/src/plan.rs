@@ -18,13 +18,10 @@
 //! `(`[`Datatype::normalized_id`]`, count)` (see [`plan_for`]), so the
 //! sweep's commit-once-pack-repeatedly pattern never re-walks the tree.
 //!
-//! Payloads at or above [`parallel_threshold`] bytes are partitioned at
-//! segment boundaries into chunks claimed dynamically by the persistent
-//! worker pool in `kernels::pool` (plus the calling thread), each writing
-//! a disjoint destination slice. This is a pure **wall-clock**
-//! optimization: the virtual-time cost model in `core::packbuf` /
-//! `simnet::cost` charges for packed bytes exactly as before and is
-//! unaffected by the thread count or kernel tier.
+//! Every pack and unpack runs on the calling thread: each rank builds its
+//! own buffer, as in the paper. The kernel tier is a pure **wall-clock**
+//! choice: the virtual-time cost model in `core::packbuf` /
+//! `simnet::cost` charges for packed bytes and is unaffected by it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -88,10 +85,6 @@ pub struct PackPlan {
     user_lo: i64,
     /// One past the highest user-buffer byte touched by instance 0.
     user_hi: i64,
-    /// Whether blocks are pairwise disjoint and monotone in the user
-    /// buffer, making partitioned parallel *unpack* safe. Parallel pack is
-    /// always safe (workers write disjoint packed slices).
-    par_safe: bool,
     /// Whole-instance transpose kernel, compiled when the plan is a
     /// small all-`Copy` record (interleaved struct); lifts the
     /// per-instance op-walk overhead that floors struct pack bandwidth.
@@ -103,9 +96,6 @@ struct Builder {
     ops: Vec<PlanOp>,
     /// Bytes emitted so far (must equal the instance size at finish).
     cursor: u64,
-    /// End of the highest block seen, for monotonicity tracking.
-    prev_end: i64,
-    par_safe: bool,
     lo: i64,
     hi: i64,
     any: bool,
@@ -113,25 +103,25 @@ struct Builder {
 
 impl Builder {
     fn new() -> Self {
-        Builder { ops: Vec::new(), cursor: 0, prev_end: 0, par_safe: true, lo: 0, hi: 0, any: false }
+        Builder { ops: Vec::new(), cursor: 0, lo: 0, hi: 0, any: false }
     }
 
-    /// Record bounds / monotonicity for one block without emitting an op.
-    fn note(&mut self, off: i64, len: u64) -> Option<()> {
-        let end = off.checked_add(i64::try_from(len).ok()?)?;
+    /// Widen the touched user-buffer bounds to `[lo, hi)`.
+    fn widen(&mut self, lo: i64, hi: i64) {
         if self.any {
-            if off < self.prev_end {
-                self.par_safe = false;
-            }
-            self.lo = self.lo.min(off);
-            self.hi = self.hi.max(end);
-            self.prev_end = self.prev_end.max(end);
+            self.lo = self.lo.min(lo);
+            self.hi = self.hi.max(hi);
         } else {
             self.any = true;
-            self.lo = off;
-            self.hi = end;
-            self.prev_end = end;
+            self.lo = lo;
+            self.hi = hi;
         }
+    }
+
+    /// Record bounds for one block without emitting an op.
+    fn note(&mut self, off: i64, len: u64) -> Option<()> {
+        let end = off.checked_add(i64::try_from(len).ok()?)?;
+        self.widen(off, end);
         self.cursor = self.cursor.checked_add(len)?;
         Some(())
     }
@@ -190,22 +180,7 @@ impl Builder {
         } else {
             (last, s.base.checked_add(bl)?)
         };
-        if self.any {
-            if s.stride < bl || s.base < self.prev_end {
-                self.par_safe = false;
-            }
-            self.lo = self.lo.min(lo);
-            self.hi = self.hi.max(hi);
-            self.prev_end = self.prev_end.max(hi);
-        } else {
-            self.any = true;
-            self.lo = lo;
-            self.hi = hi;
-            self.prev_end = hi;
-            if s.stride < bl {
-                self.par_safe = false;
-            }
-        }
+        self.widen(lo, hi);
         self.cursor = self.cursor.checked_add(s.nblocks.checked_mul(s.block_len)?)?;
         if self.ops.len() >= MAX_PLAN_OPS {
             return None;
@@ -233,10 +208,8 @@ impl Builder {
         if pos != inst_size {
             return None;
         }
-        // Instances tile by `extent`; they stay pairwise disjoint iff one
-        // instance's true span fits within the extent.
-        let span_fits = self.hi.checked_sub(self.lo)? <= extent;
-        let par_safe = self.par_safe && (count <= 1 || span_fits);
+        // An instance whose span overflows `i64` is not plannable.
+        self.hi.checked_sub(self.lo)?;
         // Small all-`Copy` multi-instance plans (interleaved structs)
         // additionally compile to a whole-instance record kernel.
         let record = if count > 1
@@ -266,7 +239,6 @@ impl Builder {
             extent,
             user_lo: self.lo,
             user_hi: self.hi,
-            par_safe,
             record,
         })
     }
@@ -291,7 +263,6 @@ impl PackPlan {
                 extent: 0,
                 user_lo: 0,
                 user_hi: 0,
-                par_safe: true,
                 record: None,
             });
         }
@@ -327,13 +298,6 @@ impl PackPlan {
     #[inline]
     pub fn op_count(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Whether partitioned parallel *unpack* is permitted (blocks are
-    /// monotone and pairwise disjoint in the user buffer).
-    #[inline]
-    pub fn par_safe(&self) -> bool {
-        self.par_safe
     }
 
     /// The `(offset, len)` region list of the full message in typemap
@@ -402,28 +366,12 @@ impl PackPlan {
         Ok(())
     }
 
-    /// Pack into `dst`, parallelizing above [`parallel_threshold`].
-    /// Returns packed bytes written.
+    /// Pack into `dst`. Returns packed bytes written.
     pub fn pack_into(&self, src: &[u8], origin: usize, dst: &mut [u8]) -> Result<usize> {
-        let threads =
-            if self.packed_len() >= parallel_threshold() { pack_threads() } else { 1 };
-        self.pack_into_with(src, origin, dst, threads)
+        self.pack_into_exec(src, origin, dst, Exec::for_pack(self.packed_len()))
     }
 
-    /// Pack into `dst` with an explicit worker count (1 = sequential),
-    /// ignoring the size threshold. Exposed for benches and differential
-    /// tests of the parallel path.
-    pub fn pack_into_with(
-        &self,
-        src: &[u8],
-        origin: usize,
-        dst: &mut [u8],
-        threads: usize,
-    ) -> Result<usize> {
-        self.pack_into_exec(src, origin, dst, threads, Exec::for_pack(self.packed_len()))
-    }
-
-    /// [`Self::pack_into_with`] under an explicit kernel tier and
+    /// [`Self::pack_into`] under an explicit kernel tier and
     /// streaming-store choice, bypassing the process-wide `NONCTG_SIMD`
     /// selection — the hook the differential tests use to prove every
     /// tier packs byte-identically.
@@ -432,22 +380,14 @@ impl PackPlan {
         src: &[u8],
         origin: usize,
         dst: &mut [u8],
-        threads: usize,
         tier: SimdTier,
         stream: bool,
     ) -> Result<usize> {
         let ex = Exec { tier, stream: stream && tier.has_streaming() };
-        self.pack_into_exec(src, origin, dst, threads, ex)
+        self.pack_into_exec(src, origin, dst, ex)
     }
 
-    fn pack_into_exec(
-        &self,
-        src: &[u8],
-        origin: usize,
-        dst: &mut [u8],
-        threads: usize,
-        ex: Exec,
-    ) -> Result<usize> {
+    fn pack_into_exec(&self, src: &[u8], origin: usize, dst: &mut [u8], ex: Exec) -> Result<usize> {
         let total = self.packed_len();
         if dst.len() < total {
             return Err(DatatypeError::BufferTooSmall { needed: total, available: dst.len() });
@@ -456,60 +396,27 @@ impl PackPlan {
             return Ok(0);
         }
         self.validate_user(src.len(), origin)?;
-        let dst = &mut dst[..total];
-        let cuts = self.split_points(chunk_parts(threads));
-        if cuts.len() <= 2 {
-            // SAFETY: `validate_user` succeeded above, so every plan block
-            // lies within `src`.
-            unsafe { self.pack_range(src, origin as i64, dst, 0, total as u64, ex) };
-            return Ok(total);
-        }
-        let base = SendPtr(dst.as_mut_ptr());
-        kernels::pool::run(cuts.len() - 1, &|k| {
-            let (lo, hi) = (cuts[k], cuts[k + 1]);
-            // SAFETY: chunk windows are disjoint, so each pool worker
-            // writes a disjoint slice of `dst`; reads of `src` may
-            // overlap. Bounds per `validate_user` above.
-            unsafe {
-                let chunk =
-                    std::slice::from_raw_parts_mut(base.get().add(lo as usize), (hi - lo) as usize);
-                self.pack_range(src, origin as i64, chunk, lo, hi, ex);
-            }
-        });
+        // SAFETY: `validate_user` succeeded above, so every plan block
+        // lies within `src`.
+        unsafe { self.pack_range(src, origin as i64, &mut dst[..total], 0, total as u64, ex) };
         Ok(total)
     }
 
-    /// Unpack from `packed`, parallelizing above [`parallel_threshold`]
-    /// when the plan is [`Self::par_safe`]. Returns packed bytes consumed.
+    /// Unpack from `packed`. Returns packed bytes consumed.
     pub fn unpack_from(&self, packed: &[u8], dst: &mut [u8], origin: usize) -> Result<usize> {
-        let threads =
-            if self.packed_len() >= parallel_threshold() { pack_threads() } else { 1 };
-        self.unpack_from_with(packed, dst, origin, threads)
+        self.unpack_from_exec(packed, dst, origin, Exec::no_stream(kernels::simd_tier()))
     }
 
-    /// Unpack with an explicit worker count, ignoring the size threshold.
-    /// Non-`par_safe` plans are forced sequential regardless of `threads`.
-    pub fn unpack_from_with(
-        &self,
-        packed: &[u8],
-        dst: &mut [u8],
-        origin: usize,
-        threads: usize,
-    ) -> Result<usize> {
-        self.unpack_from_exec(packed, dst, origin, threads, Exec::no_stream(kernels::simd_tier()))
-    }
-
-    /// [`Self::unpack_from_with`] under an explicit kernel tier (scatter
-    /// never streams); the differential-test hook for the unpack side.
+    /// [`Self::unpack_from`] under an explicit kernel tier (scatter never
+    /// streams); the differential-test hook for the unpack side.
     pub fn unpack_from_forced(
         &self,
         packed: &[u8],
         dst: &mut [u8],
         origin: usize,
-        threads: usize,
         tier: SimdTier,
     ) -> Result<usize> {
-        self.unpack_from_exec(packed, dst, origin, threads, Exec::no_stream(tier))
+        self.unpack_from_exec(packed, dst, origin, Exec::no_stream(tier))
     }
 
     fn unpack_from_exec(
@@ -517,7 +424,6 @@ impl PackPlan {
         packed: &[u8],
         dst: &mut [u8],
         origin: usize,
-        threads: usize,
         ex: Exec,
     ) -> Result<usize> {
         let total = self.packed_len();
@@ -529,33 +435,9 @@ impl PackPlan {
         }
         self.validate_user(dst.len(), origin)?;
         let packed = &packed[..total];
-        let threads = if self.par_safe { threads } else { 1 };
-        let cuts = self.split_points(chunk_parts(threads));
-        if cuts.len() <= 2 {
-            // SAFETY: exclusive access via `&mut dst`; all offsets were
-            // validated against `dst.len()` above.
-            unsafe {
-                self.unpack_range(packed, dst.as_mut_ptr(), origin as i64, 0, total as u64, ex)
-            };
-            return Ok(total);
-        }
-        let base = SendPtr(dst.as_mut_ptr());
-        kernels::pool::run(cuts.len() - 1, &|k| {
-            let (lo, hi) = (cuts[k], cuts[k + 1]);
-            // SAFETY: `par_safe` (checked above) guarantees distinct
-            // packed ranges scatter to pairwise-disjoint user bytes,
-            // so concurrent writes never alias; bounds validated.
-            unsafe {
-                self.unpack_range(
-                    &packed[lo as usize..hi as usize],
-                    base.get(),
-                    origin as i64,
-                    lo,
-                    hi,
-                    ex,
-                )
-            }
-        });
+        // SAFETY: exclusive access via `&mut dst`; all offsets were
+        // validated against `dst.len()` above.
+        unsafe { self.unpack_range(packed, dst.as_mut_ptr(), origin as i64, 0, total as u64, ex) };
         Ok(total)
     }
 
@@ -595,8 +477,7 @@ impl PackPlan {
 
     /// Gather packed bytes `[lo, hi)` of the message into `dst` — one
     /// chunk of a streamed send. Bounds must be [`Self::align_chunk`]
-    /// positions. Parallelizes above [`parallel_threshold`]; returns the
-    /// bytes written (`hi - lo`).
+    /// positions; returns the bytes written (`hi - lo`).
     pub fn pack_range_into(
         &self,
         src: &[u8],
@@ -604,22 +485,6 @@ impl PackPlan {
         dst: &mut [u8],
         lo: u64,
         hi: u64,
-    ) -> Result<usize> {
-        let threads =
-            if (hi.saturating_sub(lo)) as usize >= parallel_threshold() { pack_threads() } else { 1 };
-        self.pack_range_into_with(src, origin, dst, lo, hi, threads)
-    }
-
-    /// [`Self::pack_range_into`] with an explicit worker count, ignoring
-    /// the size threshold.
-    pub fn pack_range_into_with(
-        &self,
-        src: &[u8],
-        origin: usize,
-        dst: &mut [u8],
-        lo: u64,
-        hi: u64,
-        threads: usize,
     ) -> Result<usize> {
         self.check_range(lo, hi)?;
         let n = (hi - lo) as usize;
@@ -630,36 +495,15 @@ impl PackPlan {
             return Ok(0);
         }
         self.validate_user(src.len(), origin)?;
-        let dst = &mut dst[..n];
-        let ex = Exec::for_pack(n);
-        let cuts = self.split_range(lo, hi, chunk_parts(threads));
-        if cuts.len() <= 2 {
-            // SAFETY: `validate_user` succeeded above, so every plan block
-            // lies within `src`; bounds are block-aligned per check_range.
-            unsafe { self.pack_range(src, origin as i64, dst, lo, hi, ex) };
-            return Ok(n);
-        }
-        let base = SendPtr(dst.as_mut_ptr());
-        kernels::pool::run(cuts.len() - 1, &|k| {
-            let (l, h) = (cuts[k], cuts[k + 1]);
-            // SAFETY: as the sequential branch; each pool worker writes a
-            // disjoint slice of `dst`.
-            unsafe {
-                let chunk = std::slice::from_raw_parts_mut(
-                    base.get().add((l - lo) as usize),
-                    (h - l) as usize,
-                );
-                self.pack_range(src, origin as i64, chunk, l, h, ex);
-            }
-        });
+        // SAFETY: `validate_user` succeeded above, so every plan block
+        // lies within `src`; bounds are block-aligned per check_range.
+        unsafe { self.pack_range(src, origin as i64, &mut dst[..n], lo, hi, Exec::for_pack(n)) };
         Ok(n)
     }
 
     /// Scatter packed bytes `[lo, hi)` (supplied in `packed`) into the
     /// user buffer in place — one chunk of a streamed receive. Bounds must
-    /// be [`Self::align_chunk`] positions. Sequential (exclusive `&mut`
-    /// access makes it safe for any plan, `par_safe` or not); returns the
-    /// bytes consumed.
+    /// be [`Self::align_chunk`] positions; returns the bytes consumed.
     pub fn unpack_range_from(
         &self,
         packed: &[u8],
@@ -684,30 +528,8 @@ impl PackPlan {
         Ok(n)
     }
 
-    /// Packed-byte positions to cut the message at for `parts` chunks:
-    /// evenly spaced targets rounded down to segment boundaries.
-    fn split_points(&self, parts: usize) -> Vec<u64> {
-        self.split_range(0, self.packed_len() as u64, parts)
-    }
-
-    /// As [`Self::split_points`], but over the sub-range `[lo, hi)` (whose
-    /// bounds must themselves be aligned).
-    fn split_range(&self, lo: u64, hi: u64, parts: usize) -> Vec<u64> {
-        let parts = parts.clamp(1, 256) as u64;
-        let mut cuts = vec![lo];
-        for k in 1..parts {
-            let target = lo + (((hi - lo) as u128 * k as u128) / parts as u128) as u64;
-            let c = self.align_cut(target);
-            if c > *cuts.last().unwrap() && c < hi {
-                cuts.push(c);
-            }
-        }
-        cuts.push(hi);
-        cuts
-    }
-
     /// Round a packed position down to the nearest block boundary, so a
-    /// worker's range covers whole blocks only.
+    /// chunk covers whole blocks only.
     fn align_cut(&self, t: u64) -> u64 {
         let inst = t / self.inst_size;
         let rel = t % self.inst_size;
@@ -737,7 +559,7 @@ impl PackPlan {
         debug_assert_eq!(dst.len() as u64, hi - lo);
         let mut out = dst;
         let mut pos = lo;
-        // Partial head instance (a thread cut landed mid-instance).
+        // Partial head instance (a chunk cut landed mid-instance).
         if !pos.is_multiple_of(self.inst_size) {
             let inst = pos / self.inst_size;
             let inst_lo = inst * self.inst_size;
@@ -858,8 +680,8 @@ impl PackPlan {
     ///
     /// # Safety
     /// Caller guarantees every scattered byte lies within the allocation
-    /// at `dst` (validated against the buffer length) and that no other
-    /// thread concurrently writes any byte this range touches.
+    /// at `dst` (validated against the buffer length) and holds exclusive
+    /// access to it.
     unsafe fn unpack_range(
         &self,
         packed: &[u8],
@@ -872,7 +694,7 @@ impl PackPlan {
         debug_assert_eq!(packed.len() as u64, hi - lo);
         let mut input = packed;
         let mut pos = lo;
-        // Partial head instance (a thread cut landed mid-instance).
+        // Partial head instance (a chunk cut landed mid-instance).
         if !pos.is_multiple_of(self.inst_size) {
             let inst = pos / self.inst_size;
             let inst_lo = inst * self.inst_size;
@@ -989,23 +811,6 @@ impl PackPlan {
     }
 }
 
-/// A raw pointer that may cross pool/worker-thread boundaries. Safety of
-/// the writes it enables is argued at each submission site.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut u8);
-// SAFETY: sharing the address is safe; dereferences justify themselves.
-unsafe impl Send for SendPtr {}
-// SAFETY: as above — pool chunk closures capture it by shared reference.
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Send` wrapper, not the raw pointer field.
-    fn get(self) -> *mut u8 {
-        self.0
-    }
-}
-
 /// The plan's record kernel, when the execution context lets it run
 /// (`NONCTG_SIMD=off` disables the whole kernel layer, including this).
 #[inline]
@@ -1017,41 +822,15 @@ fn record_for(plan: &PackPlan, ex: Exec) -> Option<&RecordKernel> {
     }
 }
 
-/// Chunks to split a parallel pack into: oversplit ~4x relative to the
-/// worker count so the pool's dynamic claiming load-balances, capped so
-/// per-chunk overhead stays negligible. `threads <= 1` stays sequential.
-fn chunk_parts(threads: usize) -> usize {
-    if threads <= 1 {
-        1
-    } else {
-        threads.saturating_mul(4).min(256)
-    }
+/// Threads a pack or unpack runs on: always 1, the calling thread.
+pub const fn pack_threads() -> usize {
+    1
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-/// Worker threads used for packs above [`parallel_threshold`].
-///
-/// Defaults to `min(available_parallelism, 8)`; override with
-/// `NONCTG_PACK_THREADS`. Resolved once per process.
-pub fn pack_threads() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| {
-        env_usize("NONCTG_PACK_THREADS")
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
-            })
-            .clamp(1, 64)
-    })
-}
-
-/// Packed-byte size at which pack/unpack goes parallel (default 8 MiB;
-/// override with `NONCTG_PACK_PAR_THRESHOLD`). Resolved once per process.
-pub fn parallel_threshold() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| env_usize("NONCTG_PACK_PAR_THRESHOLD").unwrap_or(8 << 20).max(1))
+/// Packed-byte size at which a pack would fan out to helper threads:
+/// never, since every pack runs on the calling thread.
+pub const fn parallel_threshold() -> usize {
+    usize::MAX
 }
 
 struct CacheEntry {
@@ -1196,7 +975,6 @@ mod tests {
         let p = PackPlan::compile(&d, 1).unwrap();
         assert_eq!(p.op_count(), 1);
         assert_eq!(p.packed_len(), 64 * 8);
-        assert!(p.par_safe());
     }
 
     #[test]
@@ -1208,10 +986,9 @@ mod tests {
     }
 
     #[test]
-    fn negative_stride_is_not_par_safe() {
+    fn negative_stride_packs_like_uncompiled() {
         let d = Datatype::vector(3, 1, -2, &Datatype::f64()).unwrap();
         let p = PackPlan::compile(&d, 1).unwrap();
-        assert!(!p.par_safe());
         let src = f64s(8);
         let mut fast = vec![0u8; 24];
         p.pack_into(&src, 40, &mut fast).unwrap();
@@ -1226,7 +1003,6 @@ mod tests {
         let d = Datatype::indexed(&[(2, 0), (2, 5), (2, 10), (2, 15)], &Datatype::f64()).unwrap();
         let p = PackPlan::compile(&d, 1).unwrap();
         assert_eq!(p.op_count(), 1);
-        assert!(p.par_safe());
     }
 
     #[test]
@@ -1248,43 +1024,23 @@ mod tests {
     }
 
     #[test]
-    fn forced_parallel_matches_sequential() {
-        let d = Datatype::vector(1000, 3, 7, &Datatype::f64()).unwrap();
-        let p = PackPlan::compile(&d, 2).unwrap();
-        assert!(p.par_safe());
-        let n = p.packed_len();
-        let src = f64s(7 * 1000 * 2 + 16);
-        let mut seq = vec![0u8; n];
-        p.pack_into_with(&src, 0, &mut seq, 1).unwrap();
-        let mut par = vec![0u8; n];
-        p.pack_into_with(&src, 0, &mut par, 5).unwrap();
-        assert_eq!(seq, par);
-
-        let mut useq = vec![0u8; src.len()];
-        p.unpack_from_with(&seq, &mut useq, 0, 1).unwrap();
-        let mut upar = vec![0u8; src.len()];
-        p.unpack_from_with(&seq, &mut upar, 0, 5).unwrap();
-        assert_eq!(useq, upar);
-    }
-
-    #[test]
     fn range_pack_unpack_matches_whole_message() {
         let d = Datatype::vector(500, 3, 7, &Datatype::f64()).unwrap();
         let p = PackPlan::compile(&d, 2).unwrap();
         let total = p.packed_len() as u64;
         let src = f64s(7 * 500 * 2 + 16);
         let mut whole = vec![0u8; total as usize];
-        p.pack_into_with(&src, 0, &mut whole, 1).unwrap();
+        p.pack_into(&src, 0, &mut whole).unwrap();
 
         // Walk the message in ~1000-byte chunks cut at aligned positions,
-        // packing each sub-range (threaded) and unpacking it in place.
+        // packing each sub-range and unpacking it in place.
         let mut chunked = Vec::new();
         let mut recon = vec![0u8; src.len()];
         let mut pos = 0u64;
         while pos < total {
             let hi = p.align_chunk(pos + 1000);
             let mut buf = vec![0u8; (hi - pos) as usize];
-            p.pack_range_into_with(&src, 0, &mut buf, pos, hi, 3).unwrap();
+            p.pack_range_into(&src, 0, &mut buf, pos, hi).unwrap();
             p.unpack_range_from(&buf, &mut recon, 0, pos, hi).unwrap();
             chunked.extend_from_slice(&buf);
             pos = hi;
@@ -1308,21 +1064,6 @@ mod tests {
             p.pack_range_into(&src, 0, &mut buf, 0, total + 24),
             Err(DatatypeError::InvalidPosition { .. })
         ));
-    }
-
-    #[test]
-    fn split_points_are_block_aligned_and_cover() {
-        let d = Datatype::vector(97, 1, 3, &Datatype::f64()).unwrap();
-        let p = PackPlan::compile(&d, 3).unwrap();
-        let cuts = p.split_points(4);
-        assert_eq!(cuts[0], 0);
-        assert_eq!(*cuts.last().unwrap(), p.packed_len() as u64);
-        for w in cuts.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        for &c in &cuts[1..cuts.len() - 1] {
-            assert_eq!(c % 8, 0, "cut {c} not at a block boundary");
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Differential oracle battery over the four ddtbench application
 //! layouts: every pack engine (uncompiled walker, compiled plan, each
-//! forced SIMD tier x streaming x thread count) must produce
+//! forced SIMD tier x streaming) must produce
 //! byte-identical packed output, and unpack must round-trip, on the
 //! exact access patterns the application kernels send.
 
@@ -9,8 +9,8 @@ use nonctg_datatype::{
     available_tiers, check_type, pack_into_uncompiled, plan_for, Datatype, SimdTier,
 };
 
-/// The four ddtbench layouts at sizes big enough to exercise multi-chunk
-/// parallel packing but small enough to keep the battery fast.
+/// The four ddtbench layouts at sizes big enough to exercise every op
+/// kind but small enough to keep the battery fast.
 fn layouts() -> Vec<(&'static str, Datatype)> {
     vec![
         ("lammps", lammps_exchange(192).unwrap()),
@@ -41,9 +41,9 @@ fn ddtbench_layouts_pass_the_type_oracle() {
     }
 }
 
-/// Every available SIMD tier, with and without streaming stores, at one
-/// and several worker threads, must pack byte-identically to the plain
-/// per-op scalar path and to the uncompiled tree walker.
+/// Every available SIMD tier, with and without streaming stores, must
+/// pack byte-identically to the plain per-op scalar path and to the
+/// uncompiled tree walker.
 #[test]
 fn every_simd_tier_packs_ddtbench_layouts_identically() {
     for (name, t) in layouts() {
@@ -57,19 +57,14 @@ fn every_simd_tier_packs_ddtbench_layouts_identically() {
 
         let plan = plan_for(&t, 1).unwrap_or_else(|| panic!("{name}: no plan"));
         let mut reference = vec![0u8; packed_len];
-        plan.pack_into_forced(&src, 0, &mut reference, 1, SimdTier::Off, false).unwrap();
+        plan.pack_into_forced(&src, 0, &mut reference, SimdTier::Off, false).unwrap();
         assert_eq!(reference, walker, "{name}: plan(Off) != tree walker");
 
         for tier in available_tiers() {
             for stream in [false, true] {
-                for threads in [1usize, 3] {
-                    let mut out = vec![0xAAu8; packed_len];
-                    plan.pack_into_forced(&src, 0, &mut out, threads, tier, stream).unwrap();
-                    assert_eq!(
-                        out, reference,
-                        "{name}: pack mismatch tier={tier:?} stream={stream} threads={threads}"
-                    );
-                }
+                let mut out = vec![0xAAu8; packed_len];
+                plan.pack_into_forced(&src, 0, &mut out, tier, stream).unwrap();
+                assert_eq!(out, reference, "{name}: pack mismatch tier={tier:?} stream={stream}");
             }
         }
     }
@@ -86,25 +81,20 @@ fn every_simd_tier_unpacks_ddtbench_layouts_identically() {
         let packed_len = t.size() as usize;
         let plan = plan_for(&t, 1).unwrap_or_else(|| panic!("{name}: no plan"));
         let mut packed = vec![0u8; packed_len];
-        plan.pack_into_forced(&src, 0, &mut packed, 1, SimdTier::Off, false).unwrap();
+        plan.pack_into_forced(&src, 0, &mut packed, SimdTier::Off, false).unwrap();
 
         let mut reference = vec![0u8; src.len()];
-        plan.unpack_from_forced(&packed, &mut reference, 0, 1, SimdTier::Off).unwrap();
+        plan.unpack_from_forced(&packed, &mut reference, 0, SimdTier::Off).unwrap();
 
         for tier in available_tiers() {
-            for threads in [1usize, 3] {
-                let mut dst = vec![0u8; src.len()];
-                plan.unpack_from_forced(&packed, &mut dst, 0, threads, tier).unwrap();
-                assert_eq!(
-                    dst, reference,
-                    "{name}: unpack mismatch tier={tier:?} threads={threads}"
-                );
-            }
+            let mut dst = vec![0u8; src.len()];
+            plan.unpack_from_forced(&packed, &mut dst, 0, tier).unwrap();
+            assert_eq!(dst, reference, "{name}: unpack mismatch tier={tier:?}");
         }
 
         // Round trip: repacking the scattered buffer recovers the bytes.
         let mut repacked = vec![0u8; packed_len];
-        plan.pack_into_forced(&reference, 0, &mut repacked, 1, SimdTier::Off, false).unwrap();
+        plan.pack_into_forced(&reference, 0, &mut repacked, SimdTier::Off, false).unwrap();
         assert_eq!(repacked, packed, "{name}: scatter/gather round trip");
     }
 }

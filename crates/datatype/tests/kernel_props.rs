@@ -197,9 +197,9 @@ fn arb_plan_type() -> impl Strategy<Value = Datatype> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Whole plans forced through every tier × {stream on, off} × {1, 4
-    /// threads} produce byte-identical packed buffers and unpacked
-    /// destinations to the `Off` tier (pure memcpy ops).
+    /// Whole plans forced through every tier × {stream on, off} produce
+    /// byte-identical packed buffers and unpacked destinations to the
+    /// `Off` tier (pure memcpy ops).
     #[test]
     fn forced_tiers_pack_and_unpack_identically(
         d in arb_plan_type(),
@@ -221,31 +221,24 @@ proptest! {
             .collect();
 
         let mut reference = vec![0u8; total];
-        plan.pack_into_forced(&src, origin, &mut reference, 1, SimdTier::Off, false).unwrap();
+        plan.pack_into_forced(&src, origin, &mut reference, SimdTier::Off, false).unwrap();
         let mut ref_dst = vec![0u8; len];
         ref_dst.copy_from_slice(&src);
-        plan.unpack_from_forced(&reference, &mut ref_dst, origin, 1, SimdTier::Off).unwrap();
+        plan.unpack_from_forced(&reference, &mut ref_dst, origin, SimdTier::Off).unwrap();
 
         for tier in available_tiers() {
             for stream in [false, true] {
-                for threads in [1usize, 4] {
-                    let mut packed = vec![0u8; total];
-                    plan.pack_into_forced(&src, origin, &mut packed, threads, tier, stream)
-                        .unwrap();
-                    prop_assert_eq!(
-                        &packed, &reference,
-                        "pack diverged: tier {} stream {} threads {}",
-                        tier.name(), stream, threads
-                    );
-                    let mut dst = vec![0u8; len];
-                    dst.copy_from_slice(&src);
-                    plan.unpack_from_forced(&packed, &mut dst, origin, threads, tier).unwrap();
-                    prop_assert_eq!(
-                        &dst, &ref_dst,
-                        "unpack diverged: tier {} threads {}",
-                        tier.name(), threads
-                    );
-                }
+                let mut packed = vec![0u8; total];
+                plan.pack_into_forced(&src, origin, &mut packed, tier, stream).unwrap();
+                prop_assert_eq!(
+                    &packed, &reference,
+                    "pack diverged: tier {} stream {}",
+                    tier.name(), stream
+                );
+                let mut dst = vec![0u8; len];
+                dst.copy_from_slice(&src);
+                plan.unpack_from_forced(&packed, &mut dst, origin, tier).unwrap();
+                prop_assert_eq!(&dst, &ref_dst, "unpack diverged: tier {}", tier.name());
             }
         }
     }

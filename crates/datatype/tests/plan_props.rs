@@ -1,8 +1,6 @@
 //! Differential property tests: the compiled pack-plan engine must be
 //! byte-identical to the uncompiled reference engine — struct and
-//! subarray trees included — on both the sequential and the partitioned
-//! parallel path (threads forced on regardless of payload size, i.e. the
-//! parallel threshold is effectively one byte).
+//! subarray trees included.
 
 use nonctg_datatype::{
     pack_into_uncompiled, pack_size, unpack_from_uncompiled, ArrayOrder, Datatype, PackPlan,
@@ -76,8 +74,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Compiled plans exist for every generated tree and agree with the
-    /// uncompiled engine byte-for-byte, sequentially and with the
-    /// parallel path forced on (equivalent to a 1-byte threshold).
+    /// uncompiled engine byte-for-byte.
     #[test]
     fn plan_pack_matches_uncompiled(d in arb_datatype(), count in 1usize..3) {
         let plan = PackPlan::compile(&d, count).expect("generated trees are plannable");
@@ -91,17 +88,13 @@ proptest! {
         let mut reference = vec![0u8; total];
         pack_into_uncompiled(&src, origin, &d, count, &mut reference).unwrap();
 
-        let mut seq = vec![0u8; total];
-        plan.pack_into_with(&src, origin, &mut seq, 1).unwrap();
-        prop_assert_eq!(&seq, &reference, "sequential plan pack diverged");
-
-        let mut par = vec![0u8; total];
-        plan.pack_into_with(&src, origin, &mut par, 4).unwrap();
-        prop_assert_eq!(&par, &reference, "parallel plan pack diverged");
+        let mut out = vec![0u8; total];
+        plan.pack_into(&src, origin, &mut out).unwrap();
+        prop_assert_eq!(&out, &reference, "plan pack diverged");
     }
 
     /// Same for unpack: scattered bytes and untouched gap bytes both
-    /// match the uncompiled engine, sequentially and in parallel.
+    /// match the uncompiled engine.
     #[test]
     fn plan_unpack_matches_uncompiled(d in arb_datatype(), count in 1usize..3) {
         let plan = PackPlan::compile(&d, count).expect("generated trees are plannable");
@@ -113,13 +106,9 @@ proptest! {
         let mut reference = vec![0u8; len];
         unpack_from_uncompiled(&packed, &d, count, &mut reference, origin).unwrap();
 
-        let mut seq = vec![0u8; len];
-        plan.unpack_from_with(&packed, &mut seq, origin, 1).unwrap();
-        prop_assert_eq!(&seq, &reference, "sequential plan unpack diverged");
-
-        let mut par = vec![0u8; len];
-        plan.unpack_from_with(&packed, &mut par, origin, 4).unwrap();
-        prop_assert_eq!(&par, &reference, "parallel plan unpack diverged");
+        let mut out = vec![0u8; len];
+        plan.unpack_from(&packed, &mut out, origin).unwrap();
+        prop_assert_eq!(&out, &reference, "plan unpack diverged");
     }
 
     /// The public pack/unpack round-trips through the cached plan of a

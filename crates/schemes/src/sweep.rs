@@ -179,7 +179,7 @@ pub struct SweepFaults {
     pub poisoned_peers: u64,
     /// Graceful demotions down the degradation ladder (pipelined →
     /// monolithic, pooled → owned buffers, compiled → uncompiled plan,
-    /// parallel → serial pack), summed over every rank and attempt.
+    /// iovec → pack), summed over every rank and attempt.
     pub demotions: u64,
     /// Chunks re-packed after a mid-pipeline corruption or drop.
     pub chunk_retries: u64,

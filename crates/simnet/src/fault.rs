@@ -139,9 +139,6 @@ pub struct FaultPlan {
     /// Probability that compiling/allocating a pack plan fails, forcing
     /// the uncompiled (interpreter) path (v2).
     pub plan_fail_prob: f64,
-    /// Probability that a parallel-pack worker fails, forcing the serial
-    /// pack kernel (v2).
-    pub pack_worker_fail_prob: f64,
     /// Sustained link-degradation burst, if any (v2).
     pub degrade: Option<LinkDegradation>,
     /// Scheduled receiver-side crash mid-stream, if any (v2). Unlike
@@ -165,7 +162,6 @@ impl FaultPlan {
             chunk_drop_prob: 0.0,
             pool_exhaust_prob: 0.0,
             plan_fail_prob: 0.0,
-            pack_worker_fail_prob: 0.0,
             degrade: None,
             recv_crash: None,
         }
@@ -173,9 +169,9 @@ impl FaultPlan {
 
     /// The standard chaos mix driven by one seed: occasional transient
     /// send failures, delivery delays, and the recoverable v2 faults —
-    /// chunk corruption/drops mid-pipeline, pool exhaustion, plan-compile
-    /// failures, and parallel-pack worker failures (all of which the
-    /// runtime absorbs by demoting to a slower-but-correct path).
+    /// chunk corruption/drops mid-pipeline, pool exhaustion and
+    /// plan-compile failures (all of which the runtime absorbs by
+    /// demoting to a slower-but-correct path).
     /// Payload corruption and crashes stay off by default because they
     /// abort the affected universe; enable them explicitly with
     /// [`FaultPlan::with_corruption`] / [`FaultPlan::with_crash`] /
@@ -193,7 +189,6 @@ impl FaultPlan {
             chunk_drop_prob: 0.02,
             pool_exhaust_prob: 0.05,
             plan_fail_prob: 0.02,
-            pack_worker_fail_prob: 0.02,
             degrade: None,
             recv_crash: None,
         }
@@ -252,12 +247,6 @@ impl FaultPlan {
     /// Builder: set the pack-plan compile/allocation failure probability.
     pub fn with_plan_failures(mut self, prob: f64) -> FaultPlan {
         self.plan_fail_prob = prob;
-        self
-    }
-
-    /// Builder: set the parallel-pack worker failure probability.
-    pub fn with_pack_worker_failures(mut self, prob: f64) -> FaultPlan {
-        self.pack_worker_fail_prob = prob;
         self
     }
 
@@ -367,13 +356,6 @@ impl FaultPlan {
             && unit(mix(&[self.seed, rank as u64, op, 8])) < self.plan_fail_prob
     }
 
-    /// Whether a parallel-pack worker fails for send `op` on `rank`
-    /// (forcing the serial pack kernel).
-    pub fn pack_worker_fails(&self, rank: usize, op: u64) -> bool {
-        self.pack_worker_fail_prob > 0.0
-            && unit(mix(&[self.seed, rank as u64, op, 10])) < self.pack_worker_fail_prob
-    }
-
     /// Latency multiplier in force for op index `op` (1.0 when no burst
     /// is active). Always ≥ 1 — sub-unit factors are clamped.
     pub fn latency_factor(&self, op: u64) -> f64 {
@@ -471,7 +453,6 @@ mod tests {
             assert!(!p.chunk_decision(0, op, 0).is_faulty());
             assert!(!p.pool_exhausted(0, op));
             assert!(!p.plan_compile_fails(0, op));
-            assert!(!p.pack_worker_fails(0, op));
             assert_eq!(p.latency_factor(op), 1.0);
             assert!(!p.should_crash_recv(0, op));
         }
@@ -519,34 +500,27 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_plan_and_worker_rates() {
+    fn pool_and_plan_rates() {
         let p = FaultPlan::quiet(55)
             .with_pool_exhaustion(0.2)
-            .with_plan_failures(0.3)
-            .with_pack_worker_failures(0.4);
+            .with_plan_failures(0.3);
         let n = 10_000;
         let pool = (0..n).filter(|&op| p.pool_exhausted(2, op)).count() as f64 / n as f64;
         let plan = (0..n).filter(|&op| p.plan_compile_fails(2, op)).count() as f64 / n as f64;
-        let work = (0..n).filter(|&op| p.pack_worker_fails(2, op)).count() as f64 / n as f64;
         assert!((pool - 0.2).abs() < 0.03, "pool rate {pool}");
         assert!((plan - 0.3).abs() < 0.03, "plan rate {plan}");
-        assert!((work - 0.4).abs() < 0.03, "worker rate {work}");
     }
 
     #[test]
     fn v2_decisions_are_independent_draws() {
-        // Salts must differ: with all probs at 0.5 the four decisions
-        // should not be perfectly correlated across ops.
+        // Salts must differ: with all probs at 0.5 the decisions should
+        // not be perfectly correlated across ops.
         let p = FaultPlan::quiet(77)
             .with_pool_exhaustion(0.5)
             .with_plan_failures(0.5)
-            .with_pack_worker_failures(0.5)
             .with_send_failures(0.5);
         let agree = (0..256)
-            .filter(|&op| {
-                p.pool_exhausted(0, op) == p.plan_compile_fails(0, op)
-                    && p.plan_compile_fails(0, op) == p.pack_worker_fails(0, op)
-            })
+            .filter(|&op| p.pool_exhausted(0, op) == p.plan_compile_fails(0, op))
             .count();
         assert!(agree < 256, "decision salts must decorrelate the draws");
     }
