@@ -1,10 +1,16 @@
 //! Critical-path and pipeline-bubble analysis of an instrumented run,
 //! recorded under `analysis_out/`.
 //!
-//! Runs the standard observability workload — a two-rank vector-type
-//! ping-pong over [`OBS_ELEMS`] elements — with tracing and metrics on,
-//! forced through the staged (pack) datapath with a small chunk size so
-//! the pipelined rendezvous produces a long chunk stream, then:
+//! Runs a two-rank derived → derived ping-pong with tracing on: rank 0
+//! sends every other `f64` of a [`OBS_ELEMS`]-element array
+//! (`vector(n, 1, 2, f64)`), rank 1 receives it with twice the
+//! blocklength (`vector(n / 2, 2, 3, f64)`) and answers with an empty
+//! pong. The run is forced through the staged (pack) datapath with a
+//! small chunk size, so the streamed rendezvous drains a long chunk ring.
+//! (A dense receive would skip the ring: both ranks gather the send
+//! straight into its buffer.) The chunk size is one `f64` past 128 KiB,
+//! so chunk cuts straddle the receiver's 16-byte blocks and the carry
+//! buffer runs too. Then the analyzer:
 //!
 //! 1. computes the virtual-time **critical path** through the traced
 //!    event DAG and *asserts* its edge sum is bit-equal to the run's
@@ -27,16 +33,20 @@ use std::fs;
 use std::path::PathBuf;
 
 use nonctg_bench::{events_to_spans, memcpy_reference, OBS_ELEMS};
+use nonctg_core::datatype::{as_bytes, as_bytes_mut, Datatype};
+use nonctg_core::{TraceEvent, Universe};
 use nonctg_report::analysis::{critical_path, gantt_ascii, gantt_svg, pipeline_report};
-use nonctg_schemes::{try_run_scheme_observed, Observe, PingPongConfig, Scheme, Workload};
 use nonctg_simnet::Platform;
 
-/// Chunk size forced for this run: 128 KiB over the ~4 MiB packed
+/// Chunk size forced for this run: about 128 KiB over the 4 MiB packed
 /// payload yields a ~32-chunk stream, long enough that the ring-depth
-/// occupancy statistic is meaningful.
-const CHUNK_BYTES: &str = "131072";
+/// occupancy statistic is meaningful. The extra 8 bytes put odd cuts off
+/// the receiver's 16-byte block grid.
+const CHUNK_BYTES: &str = "131080";
 /// Streaming threshold forced well below the payload.
 const THRESHOLD_BYTES: &str = "1048576";
+/// Ping-pong repetitions.
+const REPS: usize = 3;
 
 fn set_default(key: &str, value: &str) {
     if std::env::var_os(key).is_none() {
@@ -54,19 +64,20 @@ fn main() {
     set_default("NONCTG_DATAPATH", "pack");
 
     let platform = Platform::skx_impi();
-    let w = Workload::every_other(OBS_ELEMS);
-    let cfg = PingPongConfig { reps: 3, ..PingPongConfig::default() };
-    let run = try_run_scheme_observed(&platform, Scheme::VectorType, &w, &cfg, Observe::ALL)
-        .expect("instrumented ping-pong failed");
-
-    let spans = events_to_spans(&run.events);
-    let names: Vec<String> = (0..run.events.len()).map(|r| format!("rank {r}")).collect();
+    let events = derived_pingpong(&platform);
+    let spans = events_to_spans(&events);
+    let names: Vec<String> = (0..events.len()).map(|r| format!("rank {r}")).collect();
+    let (lo, hi) = events
+        .iter()
+        .flatten()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), e| (lo.min(e.t_start), hi.max(e.t_end)));
+    let trace_elapsed = if lo < hi { hi - lo } else { 0.0 };
     println!(
-        "{} vector ping-pong: {} events over {} ranks, {:.3e} s virtual",
+        "{} derived ping-pong: {} events over {} ranks, {:.3e} s virtual",
         platform.id.name(),
         spans.len(),
-        run.events.len(),
-        run.trace_elapsed()
+        events.len(),
+        trace_elapsed
     );
 
     let mut failures = 0usize;
@@ -81,7 +92,7 @@ fn main() {
 
     // -- critical path ------------------------------------------------
     let path = critical_path(&spans).expect("trace has no positive-width spans");
-    let elapsed = run.trace_elapsed();
+    let elapsed = trace_elapsed;
     check(
         path.edge_sum().to_bits() == elapsed.to_bits(),
         "critical-path edge sum bit-equal to traced elapsed time",
@@ -109,7 +120,7 @@ fn main() {
         nonctg_core::CHUNK_RING_DEPTH as u32,
         Some(copy_bw),
     )
-    .expect("receiver drained no chunks — pipeline did not engage");
+    .expect("receiver drained no chunks — the ring did not engage");
     println!(
         "  pipeline: {} chunks, mean ring depth {:.3}, overlap efficiency {:.3}, \
          primed {:.1}%, receiver on path {:.3e} s, ring stall {:.3e} s, bubbles {:.3e} s, \
@@ -156,4 +167,36 @@ fn main() {
         eprintln!("{failures} invariant(s) failed");
         std::process::exit(1);
     }
+}
+
+/// Run the traced derived → derived ping-pong; each rank's events.
+fn derived_pingpong(platform: &Platform) -> Vec<Vec<TraceEvent>> {
+    let n = OBS_ELEMS / 2;
+    let results = Universe::run_supervised(platform.clone(), 2, move |comm| {
+        let send_t = Datatype::vector(n, 1, 2, &Datatype::f64())?.commit();
+        let recv_t = Datatype::vector(n / 2, 2, 3, &Datatype::f64())?.commit();
+        let src: Vec<f64> = (0..2 * n - 1).map(|i| i as f64).collect();
+        let mut dst = vec![0.0f64; (n / 2 - 1) * 3 + 2];
+        comm.enable_trace();
+        comm.barrier()?;
+        for _ in 0..REPS {
+            if comm.rank() == 0 {
+                comm.send(as_bytes(&src), 0, &send_t, 1, 1, 0)?;
+                comm.recv_bytes(&mut [], Some(1), Some(1))?;
+            } else {
+                comm.recv(as_bytes_mut(&mut dst), 0, &recv_t, 1, Some(0), Some(0))?;
+                // Receive block j holds send elements 2j and 2j + 1.
+                for j in (0..n / 2).step_by(997) {
+                    assert_eq!(dst[3 * j..3 * j + 2], [(4 * j) as f64, (4 * j + 2) as f64]);
+                }
+                comm.send_bytes(&[], 0, 1)?;
+            }
+        }
+        comm.barrier()?;
+        Ok(comm.take_trace())
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("instrumented ping-pong failed"))
+        .collect()
 }

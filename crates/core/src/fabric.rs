@@ -18,6 +18,7 @@ use nonctg_simnet::Platform;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{CoreError, Result};
+use crate::handoff::Offer;
 use crate::invariants::{AliasRegistry, ClockLedger, StreamAudit};
 use crate::rma::WindowState;
 
@@ -91,9 +92,21 @@ impl PayloadPool {
     }
 
     /// A buffer of exactly `len` bytes (contents unspecified beyond being
-    /// initialized), reusing a pooled allocation when one is available.
+    /// initialized), reusing a pooled allocation when one is available:
+    /// the smallest retained one that holds `len` bytes, else the largest
+    /// (which then grows). Best fit keeps a small chunk from taking, and
+    /// a large payload from re-growing, the one large allocation.
     pub fn take(self: &Arc<Self>, len: usize) -> PooledBuf {
-        let mut buf = self.bufs.lock().pop().unwrap_or_default();
+        let mut buf = {
+            let mut bufs = self.bufs.lock();
+            let fits = bufs
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| b.capacity() >= len)
+                .min_by_key(|(_, b)| b.capacity());
+            let pick = fits.or_else(|| bufs.iter().enumerate().max_by_key(|(_, b)| b.capacity()));
+            pick.map(|(i, _)| i).map(|i| bufs.swap_remove(i)).unwrap_or_default()
+        };
         if buf.len() < len {
             buf.resize(len, 0);
         } else {
@@ -211,9 +224,12 @@ impl std::fmt::Debug for PooledBuf {
 pub(crate) enum Payload {
     /// The whole packed message.
     Whole(PooledBuf),
-    /// Chunked stream (pipelined rendezvous): the receiver drains `rx`
-    /// until it has `total` bytes. Chunk boundaries are pack-plan block
-    /// aligned on the sender, but receivers must not rely on that.
+    /// Streamed rendezvous of `total` bytes. The receiver answers the
+    /// sender's `offer` first: a dense receive gathers alongside the
+    /// sender straight into its buffer (no ring); any other receive
+    /// drains `rx` until it has `total` bytes. Chunk boundaries are
+    /// pack-plan block aligned on the sender, but receivers must not rely
+    /// on that.
     Chunked {
         /// Total packed bytes across all chunks.
         total: usize,
@@ -223,6 +239,8 @@ pub(crate) enum Payload {
         /// Oracle-mode audit shared with the sender's pump (chunk order
         /// and byte-conservation checks); `None` when checks are off.
         audit: Option<Arc<StreamAudit>>,
+        /// The sender's source view, shared for a direct gather.
+        offer: Offer,
     },
     /// Zero-copy iovec rendezvous: the payload bytes travel in region
     /// order (exactly what a pack would produce) together with the
@@ -770,6 +788,36 @@ mod tests {
         drop(PooledBuf::detached(vec![1, 2, 3]));
         let c = pool.take(8);
         assert_eq!(c.as_ptr(), ptr);
+    }
+
+    #[test]
+    fn payload_pool_takes_the_best_fit() {
+        let pool = PayloadPool::new();
+        // Put the small allocation first: a LIFO pop would hand the large
+        // one to the small request.
+        let small = vec![0u8; 2 << 20];
+        let large = vec![0u8; 64 << 20];
+        let (small_ptr, large_ptr) = (small.as_ptr(), large.as_ptr());
+        pool.put(small);
+        pool.put(large);
+        let a = pool.take(2 << 20);
+        let b = pool.take(64 << 20);
+        assert_eq!(a.as_ptr(), small_ptr);
+        assert_eq!(b.as_ptr(), large_ptr);
+        assert_eq!((a.len(), b.len()), (2 << 20, 64 << 20));
+        drop((b, a));
+        assert_eq!(pool.take(16).as_ptr(), small_ptr);
+
+        // No retained buffer holds the request: the largest one grows.
+        let pool = PayloadPool::new();
+        let (tiny, mid) = (vec![0u8; 1024], vec![0u8; 4096]);
+        let tiny_ptr = tiny.as_ptr();
+        pool.put(tiny);
+        pool.put(mid);
+        let grown = pool.take(8192);
+        assert_eq!(grown.len(), 8192);
+        let left: Vec<*const u8> = pool.bufs.lock().iter().map(|b| b.as_ptr()).collect();
+        assert_eq!(left, vec![tiny_ptr]);
     }
 
     #[test]

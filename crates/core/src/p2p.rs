@@ -25,6 +25,7 @@ use nonctg_simnet::{Access, Datapath, Platform};
 use crate::comm::{CacheState, Comm};
 use crate::error::{CoreError, Result};
 use crate::fabric::{poll_slice, reply_channel, Envelope, OpRecord, Payload, PooledBuf, Protocol};
+use crate::handoff::{self, Choice, ChunkFaults, Gathered};
 use crate::nonblocking::{SendRequest, SendState};
 
 /// Bytes of bookkeeping the attached buffer pays per buffered message
@@ -128,6 +129,48 @@ impl Drop for BsendReleaseGuard {
             in_use.fetch_sub(amount, Ordering::AcqRel);
         }
     }
+}
+
+/// Check that every byte `count` instances of `dtype` touch from byte
+/// `origin` lies inside `buf` — the span check each
+/// `PackPlan::pack_range_into` call repeats. A streamed send runs it once
+/// before posting, so a bad source fails on the sender and never inside
+/// the receiver's share of a direct gather.
+fn check_source_span(buf: &[u8], origin: usize, dtype: &Datatype, count: usize) -> Result<()> {
+    let o = origin as i128;
+    let from = o + dtype.true_lb() as i128;
+    let to = o
+        + dtype.true_ub() as i128
+        + (count as i128 - 1) * (dtype.ub() as i128 - dtype.lb() as i128);
+    if from < 0 || to > buf.len() as i128 {
+        return Err(dt::DatatypeError::OutOfBounds {
+            needed_from: from.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
+            needed_to: to.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
+            buffer_len: buf.len(),
+        }
+        .into());
+    }
+    Ok(())
+}
+
+/// Where a receive of `incoming_count` instances of `dtype` at byte
+/// `origin` puts a `total`-byte payload when its plan is one dense run of
+/// exactly `total` bytes inside a `buf_len`-byte buffer: the run's first
+/// byte. `None` (a derived receive, a partial trailing instance, or a
+/// run outside the buffer) keeps the chunk ring.
+fn dense_destination(
+    dtype: &Datatype,
+    incoming_count: usize,
+    origin: usize,
+    buf_len: usize,
+    total: usize,
+) -> Option<usize> {
+    let regions = dt::plan_for(dtype, incoming_count)?.regions(1)?;
+    let &[(off, len)] = regions.as_slice() else {
+        return None;
+    };
+    let lo = usize::try_from(i64::try_from(origin).ok()?.checked_add(off)?).ok()?;
+    (len as usize == total && lo.checked_add(total)? <= buf_len).then_some(lo)
 }
 
 impl Comm {
@@ -464,6 +507,7 @@ impl Comm {
         }
 
         if let Some(plan) = stream_plan {
+            check_source_span(buf, origin, dtype, count)?;
             return self.stream_send(
                 buf, origin, &plan, bytes, &access, warm, &p, dst, tag, sig, corrupt_idx, op,
                 pool_fault,
@@ -589,17 +633,21 @@ impl Comm {
         });
     }
 
-    /// Pipelined rendezvous: post a chunk-streaming envelope, then pack
-    /// and push aligned chunks through a bounded ring while the receiver
-    /// unpacks them in place. The virtual-time charges (staging, send
-    /// overhead, jittered wire) are issued in exactly the monolithic
-    /// derived-path order, so the cost model cannot tell the paths apart.
+    /// Streamed rendezvous: post a chunk-streaming envelope that also
+    /// offers the source for a direct gather, then run whichever side the
+    /// receiver answers. A dense receive makes both ranks gather chunks
+    /// straight into its buffer (see `handoff`); any other receive makes
+    /// this rank pack aligned chunks through a bounded ring while the
+    /// receiver unpacks them in place. The virtual-time charges (staging,
+    /// send overhead, jittered wire) are issued before posting, in exactly
+    /// the monolithic derived-path order, so the cost model cannot tell
+    /// the paths apart. The caller has checked the source span.
     #[allow(clippy::too_many_arguments)]
     fn stream_send(
         &mut self,
         buf: &[u8],
         origin: usize,
-        plan: &PackPlan,
+        plan: &Arc<PackPlan>,
         bytes: u64,
         access: &Access,
         warm: bool,
@@ -623,20 +671,36 @@ impl Comm {
             Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: reply_tx };
         let audit = crate::invariants::oracle_checks_enabled()
             .then(|| Arc::new(crate::invariants::StreamAudit::new(bytes as usize)));
+        let chunk = p.effective_pipeline().chunk_bytes.max(1);
+        let sup = Arc::clone(&self.fabric().supervision);
+        let me = self.world_rank();
+        let faults = ChunkFaults { plan: p.fault.clone(), rank: me, op, corrupt_idx };
+        let (mut side, offer) =
+            handoff::post(buf, origin, Arc::clone(plan), chunk, faults, Arc::clone(&sup));
         self.post(
             dst,
             tag,
-            Payload::Chunked { total: bytes as usize, rx: chunk_rx, audit: audit.clone() },
+            Payload::Chunked { total: bytes as usize, rx: chunk_rx, audit: audit.clone(), offer },
             sig,
             proto,
             None,
         );
 
-        let chunk = p.effective_pipeline().chunk_bytes.max(1);
-        let pool = Arc::clone(&self.fabric().pool);
-        let sup = Arc::clone(&self.fabric().supervision);
-        let me = self.world_rank();
         let deadline = Instant::now() + sup.timeout();
+        sup.set_blocked(me, Some("a matching receive"));
+        let choice = side.await_choice(deadline);
+        sup.set_blocked(me, None);
+        match choice {
+            Ok(Choice::Ring) => {}
+            Ok(Choice::Direct) => {
+                self.gather_direct(|| side.gather_next(), dst, tag);
+                side.finish().map_err(|e| self.fabric().enrich(e))?;
+                return Ok(SendRequest::new(SendState::Pending(reply_rx)));
+            }
+            Err(e) => return Err(self.fabric().enrich(e)),
+        }
+
+        let pool = Arc::clone(&self.fabric().pool);
         sup.set_blocked(me, Some("pipelined chunk delivery"));
         let mut lo: u64 = 0;
         let mut cidx: u64 = 0;
@@ -732,6 +796,24 @@ impl Comm {
         sup.set_blocked(me, None);
         res.map_err(|e| self.fabric().enrich(e))?;
         Ok(SendRequest::new(SendState::Pending(reply_rx)))
+    }
+
+    /// This rank's share of a direct gather: claim and gather chunks
+    /// until none is left, tracing each as one zero-width `Chunk` marker
+    /// without a ring depth. Purely wall-clock: no virtual charges.
+    fn gather_direct(&mut self, next: impl Fn() -> Option<Gathered>, peer: usize, tag: i32) {
+        while let Some(g) = next() {
+            let t_now = self.clock.now();
+            self.trace_stream(
+                crate::trace::EventKind::Chunk,
+                t_now,
+                Some(peer),
+                g.bytes,
+                Some(tag),
+                Some(g.seq),
+                None,
+            );
+        }
     }
 
     /// Zero-copy iovec rendezvous: no staging gather is charged — the
@@ -977,10 +1059,30 @@ impl Comm {
                     dtype.size() as usize,
                 );
             }
-            Payload::Chunked { rx, audit, .. } => {
-                self.drain_chunks(
-                    rx, audit, total, dtype, incoming_count, buf, origin, env_src, env_tag,
-                )?;
+            Payload::Chunked { rx, audit, offer, .. } => {
+                match dense_destination(dtype, incoming_count, origin, buf.len(), total) {
+                    Some(lo) => {
+                        // One dense run holds the whole payload: gather it
+                        // straight from the sender's buffer, on both ranks.
+                        let side = offer
+                            .direct(&mut buf[lo..lo + total], me)
+                            .map_err(|e| self.fabric().enrich(e))?;
+                        self.gather_direct(|| side.gather_next(), env_src, env_tag);
+                        side.finish().map_err(|e| self.fabric().enrich(e))?;
+                        crate::invariants::check_recv_conservation(
+                            total,
+                            total,
+                            dtype.size() as usize,
+                        );
+                    }
+                    None => {
+                        offer.ring().map_err(|e| self.fabric().enrich(e))?;
+                        self.drain_chunks(
+                            rx, audit, total, dtype, incoming_count, buf, origin, env_src,
+                            env_tag,
+                        )?;
+                    }
+                }
             }
             Payload::Iovec { data, regions } => {
                 if crate::invariants::oracle_checks_enabled() {

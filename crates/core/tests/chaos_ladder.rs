@@ -151,6 +151,89 @@ fn chunk_faults_retry_and_quarantine() {
     assert_eq!(sstats.pipeline_demotions, 0, "stream should not demote: {sstats:?}");
 }
 
+/// Rung 3 on the direct gather: a contiguous receive makes both ranks
+/// gather the stream straight into its buffer, and whichever rank gathers
+/// a faulted chunk corrupts and re-gathers it. The retries land on the
+/// sender's counters, exactly as many as the ring pump takes for the same
+/// chunk grid, and the receiver still sees bit-exact data.
+#[test]
+fn chunk_faults_retry_on_the_direct_gather() {
+    set_oracle_checks(true);
+    let platform = short_timeout(5.0).with_pipeline(64 << 10, 16 << 10);
+    let count = (128 << 10) / 16;
+    let plan = FaultPlan::quiet(9).with_chunk_faults(0.25, 0.0);
+    let (ring, _, _) = send_vector_once(platform.clone(), plan.clone(), count);
+    let (blocklen, stride) = (16usize, 32i64);
+    let src = pattern((count - 1) * stride as usize + blocklen);
+    let vtype = Datatype::vector(count, blocklen, stride, &Datatype::byte()).unwrap().commit();
+    let src_for_run = src.clone();
+    let mut results = Universe::run_supervised(platform.with_fault_plan(plan), 2, move |comm| {
+        if comm.rank() == 0 {
+            comm.send(&src_for_run, 0, &vtype, 1, 1, 0)?;
+            Ok((comm.fault_stats(), Vec::new()))
+        } else {
+            let mut buf = vec![0u8; count * blocklen];
+            comm.recv_bytes(&mut buf, Some(0), Some(0))?;
+            Ok((comm.fault_stats(), buf))
+        }
+    });
+    let (rstats, got) = results.pop().unwrap().unwrap();
+    let (sstats, _) = results.pop().unwrap().unwrap();
+    let packed: Vec<u8> = src.chunks(stride as usize).flat_map(|b| &b[..blocklen]).copied().collect();
+    assert_eq!(got, packed, "direct gather delivered wrong bytes");
+    assert!(sstats.chunk_retries >= 1, "no chunk retried at p=0.25: {sstats:?}");
+    assert_eq!(sstats.chunk_retries, ring.chunk_retries, "direct and ring retries differ");
+    assert_eq!(rstats.chunk_retries, 0, "retries belong to the sender: {rstats:?}");
+}
+
+/// A streamed send whose receiver arrives only after the sender's
+/// deadline: the sender revokes its post and fails with a deadlock error,
+/// and the late receive fails with a typed error without reading the
+/// source — into a dense buffer (which would gather directly) and into a
+/// derived one (which would drain the ring) alike.
+#[test]
+fn late_receive_of_a_revoked_stream_fails_typed() {
+    for dense in [true, false] {
+        let (count, blocklen, stride) = (8192usize, 16usize, 32i64);
+        let src_len = (count - 1) * stride as usize + blocklen;
+        let vtype = Datatype::vector(count, blocklen, stride, &Datatype::byte()).unwrap().commit();
+        let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let platform = short_timeout(0.2).with_pipeline(1, 16 << 10);
+        let mut results = Universe::run_supervised(platform, 2, move |comm| {
+            if comm.rank() == 0 {
+                let mut src = pattern(src_len);
+                let sent = comm.ssend(&src, 0, &vtype, 1, 1, 0);
+                // What any later read of the source would deliver.
+                src.fill(0xEE);
+                gate.wait();
+                gate.wait(); // `src` stays alive until the receive is over
+                Ok((sent, Vec::new()))
+            } else {
+                gate.wait();
+                let mut buf = vec![0u8; src_len];
+                let got = if dense {
+                    comm.recv_bytes(&mut buf[..count * blocklen], Some(0), Some(0))
+                } else {
+                    comm.recv(&mut buf, 0, &vtype, 1, Some(0), Some(0))
+                };
+                gate.wait();
+                Ok((got.map(|_| ()), buf))
+            }
+        });
+        let (received, buf) = results.pop().unwrap().unwrap();
+        let (sent, _) = results.pop().unwrap().unwrap();
+        assert!(
+            matches!(sent, Err(CoreError::Deadlock { waiting_for: "a matching receive", .. })),
+            "sender outcome: {sent:?}"
+        );
+        assert!(
+            matches!(received, Err(CoreError::Deadlock { waiting_for: "a sender that already gave up", .. })),
+            "receiver outcome (dense {dense}): {received:?}"
+        );
+        assert!(buf.iter().all(|&b| b == 0), "receive wrote bytes of a revoked source");
+    }
+}
+
 /// Rung 4: a storm of chunk faults demotes the pipelined stream to one
 /// monolithic whole-rendezvous transfer — still bit-exact, demotion
 /// counted.

@@ -8,16 +8,26 @@
 //! baseline with `Platform::without_pipeline()`. Jitter stays ON: bit-equal
 //! times prove both paths consume the same jitter draws in the same order.
 
-use nonctg_core::Universe;
+use nonctg_core::{EventKind, TraceEvent, Universe};
 use nonctg_datatype::{as_bytes, as_bytes_mut, Datatype};
 use nonctg_simnet::{FaultPlan, Platform};
 use proptest::prelude::*;
 
-/// How rank 1 receives the strided payload.
-#[derive(Debug, Clone, Copy)]
+/// How rank 1 receives the strided payload. The first four receive
+/// plans are one dense run, so a streamed send gathers straight into the
+/// receive buffer on both ranks; the rest drain the chunk ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RecvMode {
     /// Contiguous `recv_slice` — the receive plan is dense.
     Contiguous,
+    /// Contiguous `f64` receive at byte `origin = 16` of a larger buffer.
+    ContiguousAtOrigin,
+    /// Contiguous `recv_slice` into a buffer five elements larger than
+    /// the payload.
+    Oversized,
+    /// A one-block `hindexed` of the whole payload at byte 24: a dense
+    /// type with a non-zero lower bound.
+    DenseLowerBound,
     /// The sender's vector type — chunk cuts land on receive-plan
     /// boundaries (in-place fast path).
     SameVector,
@@ -57,6 +67,9 @@ fn arb_case() -> impl Strategy<Value = Case> {
         prop_oneof![Just(64u64), 65u64..4096, Just(1u64 << 16)],
         prop_oneof![
             Just(RecvMode::Contiguous),
+            Just(RecvMode::ContiguousAtOrigin),
+            Just(RecvMode::Oversized),
+            Just(RecvMode::DenseLowerBound),
             Just(RecvMode::SameVector),
             Just(RecvMode::CoarseVector),
             Just(RecvMode::PartialTrailing),
@@ -102,76 +115,121 @@ fn platform_for(case: &Case, chunked: bool) -> Platform {
     p.with_deadlock_timeout(5.0)
 }
 
+/// One ssend/recv exchange: rank 0 sends the strided payload and
+/// returns nothing, rank 1 receives it as `case.recv_mode` says and
+/// returns its whole receive buffer.
+fn exchange(comm: &mut nonctg_core::Comm, case: &Case) -> Vec<u8> {
+    let stride = (case.blocklen + case.gap) as i64;
+    let n_elems = case.blocks * case.blocklen;
+    if comm.rank() == 0 {
+        let extent = (case.blocks - 1) * stride as usize + case.blocklen;
+        let src: Vec<f64> = (0..extent).map(|e| e as f64 + 0.25).collect();
+        let t = Datatype::vector(case.blocks, case.blocklen, stride, &Datatype::f64())
+            .unwrap()
+            .commit();
+        // Synchronous mode rendezvouses at every size, so even small
+        // payloads take the streaming path once the threshold is 1.
+        comm.ssend(as_bytes(&src), 0, &t, 1, 1, 7).unwrap();
+        return Vec::new();
+    }
+    match case.recv_mode {
+        RecvMode::Contiguous => {
+            let mut buf = vec![0.0f64; n_elems];
+            comm.recv_slice(&mut buf, Some(0), Some(7)).unwrap();
+            as_bytes(&buf).to_vec()
+        }
+        RecvMode::ContiguousAtOrigin => {
+            let mut buf = vec![0.0f64; n_elems + 2];
+            comm.recv(
+                as_bytes_mut(&mut buf),
+                16,
+                &Datatype::f64(),
+                n_elems,
+                Some(0),
+                Some(7),
+            )
+            .unwrap();
+            as_bytes(&buf).to_vec()
+        }
+        RecvMode::Oversized => {
+            let mut buf = vec![0.0f64; n_elems + 5];
+            comm.recv_slice(&mut buf, Some(0), Some(7)).unwrap();
+            as_bytes(&buf).to_vec()
+        }
+        RecvMode::DenseLowerBound => {
+            let mut buf = vec![0.0f64; n_elems + 3];
+            let t = Datatype::hindexed(&[(n_elems, 24)], &Datatype::f64())
+                .unwrap()
+                .commit();
+            comm.recv(as_bytes_mut(&mut buf), 0, &t, 1, Some(0), Some(7))
+                .unwrap();
+            as_bytes(&buf).to_vec()
+        }
+        RecvMode::SameVector => {
+            let extent = (case.blocks - 1) * stride as usize + case.blocklen;
+            let mut buf = vec![0.0f64; extent];
+            let t = Datatype::vector(case.blocks, case.blocklen, stride, &Datatype::f64())
+                .unwrap()
+                .commit();
+            comm.recv(as_bytes_mut(&mut buf), 0, &t, 1, Some(0), Some(7))
+                .unwrap();
+            as_bytes(&buf).to_vec()
+        }
+        RecvMode::CoarseVector => {
+            let rb = 2 * case.blocklen;
+            let rcount = case.blocks / 2;
+            let rstride = (rb + 1) as i64;
+            let extent = (rcount - 1) * rstride as usize + rb;
+            let mut buf = vec![0.0f64; extent];
+            let t = Datatype::vector(rcount, rb, rstride, &Datatype::f64())
+                .unwrap()
+                .commit();
+            comm.recv(as_bytes_mut(&mut buf), 0, &t, 1, Some(0), Some(7))
+                .unwrap();
+            as_bytes(&buf).to_vec()
+        }
+        RecvMode::PartialTrailing => {
+            // One instance covers blocks-1 sender blocks; posting
+            // count=2 leaves capacity for the incoming bytes while
+            // only one whole instance fits them (fit < total).
+            let rb = 2 * case.blocklen;
+            let rcount = (case.blocks - 1) / 2;
+            let rstride = (rb + 1) as i64;
+            let ext = (rcount - 1) * rstride as usize + rb;
+            let mut buf = vec![0.0f64; 2 * ext];
+            let t = Datatype::vector(rcount, rb, rstride, &Datatype::f64())
+                .unwrap()
+                .commit();
+            comm.recv(as_bytes_mut(&mut buf), 0, &t, 2, Some(0), Some(7))
+                .unwrap();
+            as_bytes(&buf).to_vec()
+        }
+    }
+}
+
 /// Runs one ssend/recv exchange and returns (receiver buffer bytes,
 /// sender wtime bits, receiver wtime bits).
 fn run_case(p: Platform, case: Case) -> (Vec<u8>, u64, u64) {
     let results = Universe::run(p, 2, move |comm| {
-        let stride = (case.blocklen + case.gap) as i64;
-        let n_elems = case.blocks * case.blocklen;
-        if comm.rank() == 0 {
-            let extent = (case.blocks - 1) * stride as usize + case.blocklen;
-            let src: Vec<f64> = (0..extent).map(|e| e as f64 + 0.25).collect();
-            let t = Datatype::vector(case.blocks, case.blocklen, stride, &Datatype::f64())
-                .unwrap()
-                .commit();
-            // Synchronous mode rendezvouses at every size, so even small
-            // payloads take the streaming path once the threshold is 1.
-            comm.ssend(as_bytes(&src), 0, &t, 1, 1, 7).unwrap();
-            (Vec::new(), comm.wtime().to_bits())
-        } else {
-            let buf_bytes = match case.recv_mode {
-                RecvMode::Contiguous => {
-                    let mut buf = vec![0.0f64; n_elems];
-                    comm.recv_slice(&mut buf, Some(0), Some(7)).unwrap();
-                    as_bytes(&buf).to_vec()
-                }
-                RecvMode::SameVector => {
-                    let extent = (case.blocks - 1) * stride as usize + case.blocklen;
-                    let mut buf = vec![0.0f64; extent];
-                    let t = Datatype::vector(case.blocks, case.blocklen, stride, &Datatype::f64())
-                        .unwrap()
-                        .commit();
-                    comm.recv(as_bytes_mut(&mut buf), 0, &t, 1, Some(0), Some(7))
-                        .unwrap();
-                    as_bytes(&buf).to_vec()
-                }
-                RecvMode::CoarseVector => {
-                    let rb = 2 * case.blocklen;
-                    let rcount = case.blocks / 2;
-                    let rstride = (rb + 1) as i64;
-                    let extent = (rcount - 1) * rstride as usize + rb;
-                    let mut buf = vec![0.0f64; extent];
-                    let t = Datatype::vector(rcount, rb, rstride, &Datatype::f64())
-                        .unwrap()
-                        .commit();
-                    comm.recv(as_bytes_mut(&mut buf), 0, &t, 1, Some(0), Some(7))
-                        .unwrap();
-                    as_bytes(&buf).to_vec()
-                }
-                RecvMode::PartialTrailing => {
-                    // One instance covers blocks-1 sender blocks; posting
-                    // count=2 leaves capacity for the incoming bytes while
-                    // only one whole instance fits them (fit < total).
-                    let rb = 2 * case.blocklen;
-                    let rcount = (case.blocks - 1) / 2;
-                    let rstride = (rb + 1) as i64;
-                    let ext = (rcount - 1) * rstride as usize + rb;
-                    let mut buf = vec![0.0f64; 2 * ext];
-                    let t = Datatype::vector(rcount, rb, rstride, &Datatype::f64())
-                        .unwrap()
-                        .commit();
-                    comm.recv(as_bytes_mut(&mut buf), 0, &t, 2, Some(0), Some(7))
-                        .unwrap();
-                    as_bytes(&buf).to_vec()
-                }
-            };
-            (buf_bytes, comm.wtime().to_bits())
-        }
+        let buf = exchange(comm, &case);
+        (buf, comm.wtime().to_bits())
     });
     let mut it = results.into_iter();
     let (_, t0) = it.next().unwrap();
     let (buf, t1) = it.next().unwrap();
     (buf, t0, t1)
+}
+
+/// The `Chunk` markers each rank traced in one exchange.
+fn chunk_markers(case: Case) -> Vec<Vec<TraceEvent>> {
+    Universe::run(platform_for(&case, true), 2, move |comm| {
+        comm.enable_trace();
+        exchange(comm, &case);
+        comm.take_trace()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::Chunk)
+            .collect()
+    })
 }
 
 proptest! {
@@ -243,4 +301,95 @@ fn default_threshold_send_is_bit_equal() {
     let chunked = run(Platform::skx_impi());
     let mono = run(Platform::skx_impi().without_pipeline());
     assert_eq!(chunked, mono);
+}
+
+/// Pinned regression: a contiguous receive under fault seed 203 takes the
+/// direct gather, and the send's corrupt byte must land in it exactly as
+/// in the monolithic path.
+#[test]
+fn direct_gather_flips_the_corrupt_byte() {
+    for (blocks, chunk) in [(96, 64), (200, 1000), (478, 4096)] {
+        let case = Case {
+            blocks,
+            blocklen: 2,
+            gap: 1,
+            chunk,
+            recv_mode: RecvMode::Contiguous,
+            fault_seed: Some(203),
+        };
+        let (buf_c, s_c, r_c) = run_case(platform_for(&case, true), case.clone());
+        let (buf_m, s_m, r_m) = run_case(platform_for(&case, false), case.clone());
+        assert_eq!(buf_c, buf_m, "payload bytes diverged: {case:?}");
+        assert_eq!((s_c, r_c), (s_m, r_m), "virtual clocks diverged: {case:?}");
+    }
+}
+
+/// Every dense receive mode gathers on both ranks: one depth-less marker
+/// per non-empty chunk across the two ranks, each index once, and no ring
+/// drains. Every derived receive mode still drains the ring: the receiver
+/// traces one marker per chunk, each with its ring depth.
+#[test]
+fn receive_type_picks_direct_gather_or_ring() {
+    let dense = [
+        RecvMode::Contiguous,
+        RecvMode::ContiguousAtOrigin,
+        RecvMode::Oversized,
+        RecvMode::DenseLowerBound,
+    ];
+    let derived = [
+        RecvMode::SameVector,
+        RecvMode::CoarseVector,
+        RecvMode::PartialTrailing,
+    ];
+    for recv_mode in dense.into_iter().chain(derived) {
+        // 64 blocks of 2 f64 (65 for the partial trailing instance):
+        // 1024 or 1040 bytes over 128-byte chunks, every chunk non-empty
+        // since the cuts land on the 16-byte block grid.
+        let blocks = if recv_mode == RecvMode::PartialTrailing {
+            65
+        } else {
+            64
+        };
+        let case = Case {
+            blocks,
+            blocklen: 2,
+            gap: 1,
+            chunk: 128,
+            recv_mode,
+            fault_seed: None,
+        };
+        let total = blocks * 2 * 8;
+        let markers = chunk_markers(case);
+        if dense.contains(&recv_mode) {
+            let mut seqs: Vec<u32> = markers.iter().flatten().map(|e| e.seq.unwrap()).collect();
+            seqs.sort_unstable();
+            assert_eq!(
+                seqs,
+                (0..total.div_ceil(128) as u32).collect::<Vec<_>>(),
+                "{recv_mode:?}"
+            );
+            assert!(
+                markers.iter().flatten().all(|e| e.depth.is_none()),
+                "{recv_mode:?}"
+            );
+            let bytes: usize = markers.iter().flatten().map(|e| e.bytes).sum();
+            assert_eq!(bytes, total, "{recv_mode:?}");
+        } else {
+            let drains = &markers[1];
+            assert!(
+                !drains.is_empty(),
+                "{recv_mode:?}: receiver drained no chunks"
+            );
+            assert!(drains.iter().all(|e| e.depth.is_some()), "{recv_mode:?}");
+            assert_eq!(
+                drains.iter().map(|e| e.bytes).sum::<usize>(),
+                total,
+                "{recv_mode:?}"
+            );
+            assert!(
+                markers[0].iter().all(|e| e.depth.is_some()),
+                "{recv_mode:?}"
+            );
+        }
+    }
 }
