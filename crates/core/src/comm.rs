@@ -3,14 +3,16 @@
 //! A [`Comm`] is owned by exactly one rank thread. It bundles the rank id,
 //! the shared fabric, the rank's virtual clock, its deterministic jitter
 //! stream, and the cache-warmth state that models the paper's §4.6
-//! flush/no-flush ablation.
+//! flush/no-flush ablation. Every `Comm` is the world communicator of its
+//! [`crate::Universe`]: there are no sub-communicators, so a rank id is
+//! the world rank everywhere in the runtime.
 
 use std::sync::Arc;
 
 use nonctg_simnet::{Access, Jitter, Platform, VirtualClock};
 
 use crate::error::{CoreError, Result};
-use crate::fabric::{Fabric, FaultStats, SimBarrier, SplitSlot, WORLD_CONTEXT};
+use crate::fabric::{Fabric, FaultStats};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::trace::{EventKind, TraceConfig, TraceEvent, TraceStats, Tracer};
 
@@ -23,25 +25,11 @@ pub enum CacheState {
     Warm,
 }
 
-/// One rank's communicator.
-///
-/// The world communicator is handed to each rank by
-/// [`crate::Universe::run`]; sub-communicators come from [`Comm::split`].
-/// A `Comm` created by `split` shares the rank's virtual clock state by
-/// *moving* the clock through operations on whichever handle is used —
-/// handles of the same rank must not be used concurrently (the borrow
-/// checker enforces this: `split` borrows, operations take `&mut self`).
+/// One rank's world communicator, handed to each rank by
+/// [`crate::Universe::run`].
 pub struct Comm {
-    /// Rank within this communicator.
+    /// World rank.
     rank: usize,
-    /// Communicator context id (0 = world).
-    context: u64,
-    /// Local rank -> global rank map; `None` means identity (the world).
-    group: Option<Arc<Vec<usize>>>,
-    /// This context's barrier.
-    barrier: Arc<SimBarrier>,
-    /// Per-context split sequence number (collective call counter).
-    split_seq: u64,
     fabric: Arc<Fabric>,
     pub(crate) clock: VirtualClock,
     pub(crate) jitter: Jitter,
@@ -61,13 +49,8 @@ impl Comm {
     pub(crate) fn new(fabric: Arc<Fabric>, rank: usize) -> Comm {
         let seed = fabric.platform.seed ^ (rank as u64).wrapping_mul(0x9E37_79B9);
         let sigma = fabric.platform.jitter_sigma;
-        let barrier = fabric.barrier_of(WORLD_CONTEXT);
         Comm {
             rank,
-            context: WORLD_CONTEXT,
-            group: None,
-            barrier,
-            split_seq: 0,
             fabric,
             clock: VirtualClock::new(),
             jitter: Jitter::new(seed, sigma),
@@ -99,40 +82,16 @@ impl Comm {
         }
     }
 
-    /// This rank's id, `0..size()`, within this communicator.
+    /// This rank's id, `0..size()`.
     #[inline]
     pub fn rank(&self) -> usize {
         self.rank
     }
 
-    /// Number of ranks in this communicator.
+    /// Number of ranks in the universe.
     #[inline]
     pub fn size(&self) -> usize {
-        match &self.group {
-            Some(g) => g.len(),
-            None => self.fabric.nranks,
-        }
-    }
-
-    /// The communicator's context id (0 for the world).
-    #[inline]
-    pub fn context(&self) -> u64 {
-        self.context
-    }
-
-    /// Global (world) rank of a local rank in this communicator.
-    #[inline]
-    pub(crate) fn global_rank(&self, local: usize) -> usize {
-        match &self.group {
-            Some(g) => g[local],
-            None => local,
-        }
-    }
-
-    /// This rank's world rank.
-    #[inline]
-    pub fn world_rank(&self) -> usize {
-        self.global_rank(self.rank)
+        self.fabric.nranks
     }
 
     /// The platform model this universe runs on.
@@ -225,10 +184,9 @@ impl Comm {
     /// (the max of all participants plus a small software cost).
     pub fn barrier(&mut self) -> Result<()> {
         let t0 = self.clock.now();
-        let barrier = Arc::clone(&self.barrier);
-        let me = self.world_rank();
+        let me = self.rank;
         self.fabric.supervision.set_blocked(me, Some("barrier participants"));
-        let res = barrier.wait(t0);
+        let res = self.fabric.barrier.wait(t0);
         self.fabric.supervision.set_blocked(me, None);
         let t = res.map_err(|e| self.fabric.enrich(e))?;
         self.clock.sync_to(t);
@@ -240,7 +198,7 @@ impl Comm {
     /// Counters of injected faults this rank has absorbed or surfaced
     /// (all zeros when the platform carries no fault plan).
     pub fn fault_stats(&self) -> FaultStats {
-        self.fabric.supervision.fault_stats(self.world_rank())
+        self.fabric.supervision.fault_stats(self.rank)
     }
 
     /// Start recording a [`TraceEvent`] per operation on this rank, with
@@ -322,8 +280,8 @@ impl Comm {
             m.record(kind, self.clock.now() - t_start, bytes);
         }
         // Oracle mode: every traced operation is a monotonicity checkpoint
-        // of this rank's virtual clock (shared across split handles).
-        self.fabric.clock_ledger.tick(self.world_rank(), self.clock.now());
+        // of this rank's virtual clock.
+        self.fabric.clock_ledger.tick(self.rank, self.clock.now());
     }
 
     /// Validate a peer rank.
@@ -333,137 +291,6 @@ impl Comm {
         } else {
             Ok(())
         }
-    }
-
-    /// Duplicate this communicator (`MPI_Comm_dup`): same group and rank
-    /// order, fresh context — messages on the duplicate never match the
-    /// original. Collective.
-    pub fn dup(&mut self) -> Result<Comm> {
-        Ok(self
-            .split(0, self.rank() as i64)?
-            .expect("dup: every rank participates"))
-    }
-
-    /// Partition this communicator (`MPI_Comm_split`): ranks passing the
-    /// same `color` form a new communicator, ordered by `(key, old rank)`.
-    /// A negative `color` (MPI_UNDEFINED) yields `None`. Collective.
-    ///
-    /// The returned handle continues this rank's timeline: its clock
-    /// starts at the parent's current virtual time and then advances
-    /// independently (the borrow checker prevents interleaving two handles
-    /// of the same rank within one expression; use one communicator at a
-    /// time per timing region).
-    pub fn split(&mut self, color: i64, key: i64) -> Result<Option<Comm>> {
-        let seq = self.split_seq;
-        self.split_seq += 1;
-        let parent_size = self.size();
-        let my_entry = if color < 0 { None } else { Some((color, key)) };
-
-        // Publish (color, key) in the shared slot for this collective.
-        {
-            let mut splits = self.fabric.splits.lock();
-            let slot = splits.entry((self.context, seq)).or_insert_with(|| SplitSlot {
-                entries: vec![None; parent_size],
-                filled: 0,
-            });
-            slot.entries[self.rank] = my_entry;
-            slot.filled += 1;
-        }
-        self.barrier()?; // all entries published
-
-        // Deterministically derive the groups (every rank computes the
-        // same thing from the same table).
-        let entries = {
-            let splits = self.fabric.splits.lock();
-            splits[&(self.context, seq)].entries.clone()
-        };
-        self.barrier()?; // everyone has read
-        // Last reader cleans up.
-        {
-            let mut splits = self.fabric.splits.lock();
-            if let Some(slot) = splits.get_mut(&(self.context, seq)) {
-                slot.filled -= 1;
-                if slot.filled == 0 {
-                    splits.remove(&(self.context, seq));
-                }
-            }
-        }
-
-        let Some((my_color, my_key)) = my_entry else {
-            return Ok(None);
-        };
-
-        // Colors in first-appearance order -> deterministic context ids.
-        let mut colors: Vec<i64> = Vec::new();
-        for e in entries.iter().flatten() {
-            if !colors.contains(&e.0) {
-                colors.push(e.0);
-            }
-        }
-        let color_index = colors.iter().position(|&c| c == my_color).expect("own color");
-
-        // Members of my color, ordered by (key, parent rank).
-        let mut members: Vec<(i64, usize)> = entries
-            .iter()
-            .enumerate()
-            .filter_map(|(r, e)| match e {
-                Some((c, k)) if *c == my_color => Some((*k, r)),
-                _ => None,
-            })
-            .collect();
-        members.sort_unstable();
-        let new_rank = members
-            .iter()
-            .position(|&(k, r)| (k, r) == (my_key, self.rank))
-            .expect("own membership");
-        let group: Vec<usize> = members
-            .iter()
-            .map(|&(_, parent_local)| self.global_rank(parent_local))
-            .collect();
-
-        // Deterministic context id per (parent, collective seq, color):
-        // every member computes the same id with no extra coordination.
-        let base = self.allocate_context(seq, color_index, group.len());
-        let barrier = self.fabric.barrier_of(base);
-        Ok(Some(Comm {
-            rank: new_rank,
-            context: base,
-            group: Some(Arc::new(group)),
-            barrier,
-            split_seq: 0,
-            fabric: Arc::clone(&self.fabric),
-            clock: VirtualClock::starting_at(self.clock.now()),
-            jitter: Jitter::new(
-                self.fabric.platform.seed
-                    ^ (self.world_rank() as u64).wrapping_mul(0x9E37_79B9)
-                    ^ (base << 8),
-                self.fabric.platform.jitter_sigma,
-            ),
-            cache: self.cache,
-            bsend: None,
-            next_win_id: 0,
-            tracer: Tracer::default(),
-            metrics: None,
-            scratch: Vec::new(),
-        }))
-    }
-
-    /// Deterministic context id for `(parent ctx, seq, color_index)`,
-    /// registering its barrier on first use.
-    fn allocate_context(&self, seq: u64, color_index: usize, nmembers: usize) -> u64 {
-        // A collision-free deterministic id: hash of the triple into the
-        // upper id space, far away from the sequential world contexts.
-        let mut id = 0xcbf2_9ce4_8422_2325u64;
-        for v in [self.context, seq, color_index as u64] {
-            id ^= v;
-            id = id.wrapping_mul(0x1000_0000_01b3);
-        }
-        id |= 1 << 63; // never collides with WORLD_CONTEXT
-        let mut barriers = self.fabric.barriers.lock();
-        barriers.entry(id).or_insert_with(|| {
-            Arc::new(SimBarrier::new(nmembers, Arc::clone(&self.fabric.supervision)))
-        });
-        id
     }
 }
 

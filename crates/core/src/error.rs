@@ -55,22 +55,6 @@ pub enum CoreError {
         /// Number of attempts made before giving up.
         attempts: u32,
     },
-    /// A request wait reached its caller-supplied timeout before the
-    /// operation completed. The request is consumed; the caller decides
-    /// whether that is fatal. Distinct from [`CoreError::Deadlock`],
-    /// which is the fabric-wide watchdog firing.
-    WaitTimeout {
-        /// What the wait was for ("send completion", ...).
-        waiting_for: &'static str,
-        /// The timeout that expired, milliseconds of wall-clock time
-        /// (integer so the error stays `Eq`).
-        timeout_ms: u64,
-    },
-    /// The request was cancelled by the caller before completion.
-    Cancelled {
-        /// The operation that was cancelled.
-        what: &'static str,
-    },
 }
 
 impl CoreError {
@@ -116,10 +100,6 @@ impl fmt::Display for CoreError {
             CoreError::SendFailed { dst, attempts } => {
                 write!(f, "send to rank {dst} failed after {attempts} attempts")
             }
-            CoreError::WaitTimeout { waiting_for, timeout_ms } => {
-                write!(f, "wait for {waiting_for} timed out after {timeout_ms} ms")
-            }
-            CoreError::Cancelled { what } => write!(f, "{what} cancelled by caller"),
         }
     }
 }

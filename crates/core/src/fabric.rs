@@ -311,9 +311,13 @@ pub struct FaultStats {
     pub link_degradations: u64,
     /// Injected receiver-side crashes surfaced as typed errors.
     pub recv_crashes: u64,
-    /// Request waits that gave up at a caller-supplied timeout.
+    /// Always 0: every wait is blocking and bounded only by the
+    /// supervision watchdog, which fails with [`CoreError::Deadlock`]
+    /// instead. Kept so the `faults` key set of metrics reports, which
+    /// benchmark and CI read, stays the same.
     pub timeouts: u64,
-    /// Requests cancelled before completion.
+    /// Always 0: there are no requests to cancel. Kept for the same
+    /// reason as [`FaultStats::timeouts`].
     pub cancels: u64,
 }
 
@@ -466,9 +470,7 @@ pub(crate) enum Protocol {
 /// A message in flight or queued at the receiver.
 #[derive(Debug)]
 pub(crate) struct Envelope {
-    /// Communicator context the message belongs to.
-    pub context: u64,
-    /// Sender's rank *within that context*.
+    /// Sender's rank.
     pub src: usize,
     pub tag: i32,
     /// Packed (contiguous) payload bytes, whole or streamed.
@@ -504,28 +506,22 @@ impl Mailbox {
         self.cond.notify_all();
     }
 
-    /// Blocking match: remove and return the first envelope in `context`
-    /// matching `src`/`tag` (None = wildcard), preserving per-source order.
+    /// Blocking match: remove and return the first envelope matching
+    /// `src`/`tag` (None = wildcard), preserving per-source order.
     ///
     /// Returns [`CoreError::PeerFailed`] as soon as the fabric is
     /// poisoned (a queued match still wins over poison, since the data is
     /// already here), or [`CoreError::Deadlock`] after the supervision
     /// timeout.
-    pub fn match_recv(
-        &self,
-        context: u64,
-        src: Option<usize>,
-        tag: Option<i32>,
-    ) -> Result<Envelope> {
+    pub fn match_recv(&self, src: Option<usize>, tag: Option<i32>) -> Result<Envelope> {
         let deadline = Instant::now() + self.sup.timeout();
         let mut spins = SPIN_ROUNDS;
         let mut inner = self.inner.lock();
         loop {
-            let pos = inner.queue.iter().position(|e| {
-                e.context == context
-                    && src.is_none_or(|s| s == e.src)
-                    && tag.is_none_or(|t| t == e.tag)
-            });
+            let pos = inner
+                .queue
+                .iter()
+                .position(|e| src.is_none_or(|s| s == e.src) && tag.is_none_or(|t| t == e.tag));
             if let Some(i) = pos {
                 return Ok(inner.queue.remove(i));
             }
@@ -548,25 +544,11 @@ impl Mailbox {
         }
     }
 
-    /// Non-blocking probe: does a matching envelope exist in `context`?
-    pub fn probe(&self, context: u64, src: Option<usize>, tag: Option<i32>) -> bool {
+    /// Snapshot of queued envelopes as `(src, tag, len)`, for watchdog
+    /// reports.
+    pub fn snapshot(&self) -> Vec<(usize, i32, usize)> {
         let inner = self.inner.lock();
-        inner.queue.iter().any(|e| {
-            e.context == context
-                && src.is_none_or(|s| s == e.src)
-                && tag.is_none_or(|t| t == e.tag)
-        })
-    }
-
-    /// Snapshot of queued envelopes as `(context, src, tag, len)`, for
-    /// watchdog reports.
-    pub fn snapshot(&self) -> Vec<(u64, usize, i32, usize)> {
-        let inner = self.inner.lock();
-        inner
-            .queue
-            .iter()
-            .map(|e| (e.context, e.src, e.tag, e.payload.len()))
-            .collect()
+        inner.queue.iter().map(|e| (e.src, e.tag, e.payload.len())).collect()
     }
 }
 
@@ -637,27 +619,15 @@ impl SimBarrier {
     }
 }
 
-/// The world context id.
-pub(crate) const WORLD_CONTEXT: u64 = 0;
-
-/// A pending `split` exchange: each participant's `(color, key)`.
-#[derive(Default)]
-pub(crate) struct SplitSlot {
-    pub entries: Vec<Option<(i64, i64)>>,
-    pub filled: usize,
-}
-
 /// All state shared between the ranks of one [`crate::Universe`] run.
 pub(crate) struct Fabric {
     pub nranks: usize,
     pub platform: Platform,
     pub mailboxes: Vec<Mailbox>,
-    /// Per-context barriers; context 0 is the world.
-    pub barriers: Mutex<HashMap<u64, Arc<SimBarrier>>>,
-    /// Registered one-sided windows, keyed by `(context, sequence)`.
-    pub windows: Mutex<HashMap<(u64, usize), Arc<WindowState>>>,
-    /// In-progress split exchanges, keyed by `(parent context, sequence)`.
-    pub splits: Mutex<HashMap<(u64, u64), SplitSlot>>,
+    /// The world barrier.
+    pub barrier: SimBarrier,
+    /// Registered one-sided windows, keyed by creation sequence number.
+    pub windows: Mutex<HashMap<usize, Arc<WindowState>>>,
     /// Health state: poison flag, deadlock timeout, watchdog bookkeeping.
     pub supervision: Arc<Supervision>,
     /// Reusable payload staging buffers shared by all ranks.
@@ -669,27 +639,16 @@ pub(crate) struct Fabric {
 impl Fabric {
     pub fn new(platform: Platform, nranks: usize) -> Arc<Fabric> {
         let supervision = Supervision::new(nranks, platform.effective_deadlock_timeout());
-        let mut barriers = HashMap::new();
-        barriers.insert(
-            WORLD_CONTEXT,
-            Arc::new(SimBarrier::new(nranks, Arc::clone(&supervision))),
-        );
         Arc::new(Fabric {
             nranks,
             mailboxes: (0..nranks).map(|_| Mailbox::new(Arc::clone(&supervision))).collect(),
-            barriers: Mutex::new(barriers),
+            barrier: SimBarrier::new(nranks, Arc::clone(&supervision)),
             windows: Mutex::new(HashMap::new()),
-            splits: Mutex::new(HashMap::new()),
             supervision,
             platform,
             pool: PayloadPool::new(),
             clock_ledger: ClockLedger::new(nranks),
         })
-    }
-
-    /// The barrier of a context (must exist).
-    pub fn barrier_of(&self, context: u64) -> Arc<SimBarrier> {
-        Arc::clone(self.barriers.lock().get(&context).expect("context barrier"))
     }
 
     /// Per-rank diagnostics for watchdog reports: what each rank is
@@ -718,11 +677,11 @@ impl Fabric {
                 out.push_str("; mailbox empty");
             } else {
                 let _ = write!(out, "; mailbox [");
-                for (i, (ctx, src, tag, len)) in queued.iter().take(8).enumerate() {
+                for (i, (src, tag, len)) in queued.iter().take(8).enumerate() {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    let _ = write!(out, "ctx {ctx} src {src} tag {tag} len {len}");
+                    let _ = write!(out, "src {src} tag {tag} len {len}");
                 }
                 if queued.len() > 8 {
                     let _ = write!(out, ", +{} more", queued.len() - 8);
@@ -760,7 +719,6 @@ mod tests {
 
     fn env(src: usize, tag: i32) -> Envelope {
         Envelope {
-            context: WORLD_CONTEXT,
             src,
             tag,
             payload: Payload::Whole(PooledBuf::detached(Vec::new())),
@@ -884,9 +842,9 @@ mod tests {
         let mb = Mailbox::new(sup());
         mb.push(env(0, 1));
         mb.push(env(1, 2));
-        let got = mb.match_recv(WORLD_CONTEXT, Some(1), Some(2)).unwrap();
+        let got = mb.match_recv(Some(1), Some(2)).unwrap();
         assert_eq!((got.src, got.tag), (1, 2));
-        let got = mb.match_recv(WORLD_CONTEXT, None, None).unwrap();
+        let got = mb.match_recv(None, None).unwrap();
         assert_eq!((got.src, got.tag), (0, 1));
     }
 
@@ -894,30 +852,25 @@ mod tests {
     fn mailbox_preserves_order_per_source() {
         let mb = Mailbox::new(sup());
         mb.push(env(0, 7));
-        mb.push(env(0, 7));
-        // Same source and tag: FIFO
-        let _ = mb.match_recv(WORLD_CONTEXT, Some(0), Some(7)).unwrap();
-        assert!(mb.probe(WORLD_CONTEXT, Some(0), Some(7)));
+        mb.push(env(1, 7));
+        mb.push(env(0, 8));
+        // Same source: FIFO, even past another source's message.
+        let first = mb.match_recv(Some(0), None).unwrap();
+        assert_eq!(first.tag, 7);
+        let second = mb.match_recv(Some(0), None).unwrap();
+        assert_eq!(second.tag, 8);
+        assert_eq!(mb.snapshot(), vec![(1, 7, 0)]);
     }
 
     #[test]
     fn mailbox_wakes_blocked_receiver() {
         let mb = Arc::new(Mailbox::new(sup()));
         let mb2 = Arc::clone(&mb);
-        let h = std::thread::spawn(move || mb2.match_recv(WORLD_CONTEXT, Some(3), None).unwrap());
+        let h = std::thread::spawn(move || mb2.match_recv(Some(3), None).unwrap());
         std::thread::sleep(Duration::from_millis(20));
         mb.push(env(3, 0));
         let got = h.join().unwrap();
         assert_eq!(got.src, 3);
-    }
-
-    #[test]
-    fn probe_does_not_consume() {
-        let mb = Mailbox::new(sup());
-        mb.push(env(2, 9));
-        assert!(mb.probe(WORLD_CONTEXT, Some(2), Some(9)));
-        assert!(mb.probe(WORLD_CONTEXT, Some(2), Some(9)));
-        assert!(!mb.probe(WORLD_CONTEXT, Some(2), Some(8)));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   exact order and length they were emitted, and their cumulative size
 //!   must land exactly on the advertised total;
 //! - **clock monotonicity** — a rank's virtual time never moves backwards
-//!   across operations, including across `split` communicator handles;
+//!   across operations;
 //! - **receive conservation** — a matched receive consumes the packed
 //!   bytes of whole instances and may drop only a sub-instance remainder.
 //!

@@ -40,7 +40,6 @@ mod fabric;
 mod handoff;
 mod invariants;
 pub mod metrics;
-mod nonblocking;
 mod p2p;
 mod packbuf;
 mod rma;
@@ -54,7 +53,6 @@ pub use error::{CoreError, Result};
 pub use fabric::FaultStats;
 pub use invariants::{oracle_checks_enabled, set_oracle_checks};
 pub use metrics::{Histogram, MetricsSnapshot};
-pub use nonblocking::{RecvRequest, SendRequest};
 pub use p2p::{RecvStatus, BSEND_OVERHEAD_BYTES, CHUNK_RING_DEPTH, MAX_SEND_ATTEMPTS};
 pub use rma::{Window, WindowState};
 pub use selector::{

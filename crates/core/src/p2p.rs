@@ -24,9 +24,11 @@ use nonctg_simnet::{Access, Datapath, Platform};
 
 use crate::comm::{CacheState, Comm};
 use crate::error::{CoreError, Result};
-use crate::fabric::{poll_slice, reply_channel, Envelope, OpRecord, Payload, PooledBuf, Protocol};
+use crate::fabric::{
+    poll_slice, reply_channel, spin_round, Envelope, OpRecord, Payload, PooledBuf, Protocol,
+    SPIN_ROUNDS,
+};
 use crate::handoff::{self, Choice, ChunkFaults, Gathered};
-use crate::nonblocking::{SendRequest, SendState};
 
 /// Bytes of bookkeeping the attached buffer pays per buffered message
 /// (`MPI_BSEND_OVERHEAD`).
@@ -117,6 +119,14 @@ pub(crate) enum SendMode {
     Buffered,
 }
 
+/// How a posted send completes: see [`Comm::complete_send`].
+pub(crate) enum Completion {
+    /// Locally complete at the given virtual time (eager/buffered path).
+    Done(f64),
+    /// Rendezvous in flight; the receiver reports the completion time.
+    Pending(Receiver<f64>),
+}
+
 /// Releases a buffered-send reservation when dropped. Held by the receive
 /// path from the moment the envelope leaves the mailbox, so *every* exit —
 /// including the truncation and signature-mismatch error returns — gives
@@ -132,10 +142,11 @@ impl Drop for BsendReleaseGuard {
 }
 
 /// Check that every byte `count` instances of `dtype` touch from byte
-/// `origin` lies inside `buf` — the span check each
-/// `PackPlan::pack_range_into` call repeats. A streamed send runs it once
-/// before posting, so a bad source fails on the sender and never inside
-/// the receiver's share of a direct gather.
+/// `origin` lies inside `buf` — the span check the pack engine runs
+/// before it touches a buffer, with the same error. The streamed and
+/// iovec sends run it before posting, so a bad source fails on the sender
+/// and never inside the receiver's share of a direct gather; the iovec
+/// receive runs it before its scatter writes anything.
 fn check_source_span(buf: &[u8], origin: usize, dtype: &Datatype, count: usize) -> Result<()> {
     let o = origin as i128;
     let from = o + dtype.true_lb() as i128;
@@ -189,12 +200,7 @@ impl Comm {
         dst: usize,
         tag: i32,
     ) -> Result<()> {
-        let t0 = self.clock.now();
-        let bytes = dt::pack_size(dtype, count)?;
-        let req = self.send_impl(buf, origin, dtype, count, dst, tag, SendMode::Standard, true)?;
-        req.wait(self)?;
-        self.trace(crate::trace::EventKind::Send, t0, Some(dst), bytes, Some(tag));
-        Ok(())
+        self.blocking_send(buf, origin, dtype, count, dst, tag, SendMode::Standard)
     }
 
     /// Synchronous send (`MPI_Ssend`): local completion implies the
@@ -208,12 +214,7 @@ impl Comm {
         dst: usize,
         tag: i32,
     ) -> Result<()> {
-        let t0 = self.clock.now();
-        let bytes = dt::pack_size(dtype, count)?;
-        let req = self.send_impl(buf, origin, dtype, count, dst, tag, SendMode::Synchronous, true)?;
-        req.wait(self)?;
-        self.trace(crate::trace::EventKind::Send, t0, Some(dst), bytes, Some(tag));
-        Ok(())
+        self.blocking_send(buf, origin, dtype, count, dst, tag, SendMode::Synchronous)
     }
 
     /// Synchronous send of a contiguous scalar slice.
@@ -232,12 +233,7 @@ impl Comm {
         dst: usize,
         tag: i32,
     ) -> Result<()> {
-        let t0 = self.clock.now();
-        let bytes = dt::pack_size(dtype, count)?;
-        let req = self.send_impl(buf, origin, dtype, count, dst, tag, SendMode::Buffered, false)?;
-        req.wait(self)?;
-        self.trace(crate::trace::EventKind::Bsend, t0, Some(dst), bytes, Some(tag));
-        Ok(())
+        self.blocking_send(buf, origin, dtype, count, dst, tag, SendMode::Buffered)
     }
 
     /// Send a contiguous byte buffer (`MPI_Send` of `MPI_BYTE`s).
@@ -260,6 +256,30 @@ impl Comm {
         self.send(dt::as_bytes(data), 0, &t, data.len(), dst, tag)
     }
 
+    /// Post a send in `mode`, wait for its completion and trace it.
+    #[allow(clippy::too_many_arguments)]
+    fn blocking_send(
+        &mut self,
+        buf: &[u8],
+        origin: usize,
+        dtype: &Datatype,
+        count: usize,
+        dst: usize,
+        tag: i32,
+        mode: SendMode,
+    ) -> Result<()> {
+        let t0 = self.clock.now();
+        let bytes = dt::pack_size(dtype, count)?;
+        let kind = match mode {
+            SendMode::Buffered => crate::trace::EventKind::Bsend,
+            SendMode::Standard | SendMode::Synchronous => crate::trace::EventKind::Send,
+        };
+        let completion = self.send_impl(buf, origin, dtype, count, dst, tag, mode)?;
+        self.complete_send(completion)?;
+        self.trace(kind, t0, Some(dst), bytes, Some(tag));
+        Ok(())
+    }
+
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_impl(
         &mut self,
@@ -270,8 +290,7 @@ impl Comm {
         dst: usize,
         tag: i32,
         mode: SendMode,
-        may_stream: bool,
-    ) -> Result<SendRequest> {
+    ) -> Result<Completion> {
         self.check_rank(dst)?;
         dtype.require_committed()?;
         let bytes = dt::pack_size(dtype, count)? as u64;
@@ -279,12 +298,9 @@ impl Comm {
         let warm = self.is_warm();
         let p = self.platform().clone();
 
-        let me = self.world_rank();
+        let me = self.rank();
         let sup = Arc::clone(&self.fabric().supervision);
-        sup.record_op(
-            me,
-            OpRecord { kind: "send", peer: Some(self.global_rank(dst)), bytes: bytes as usize },
-        );
+        sup.record_op(me, OpRecord { kind: "send", peer: Some(dst), bytes: bytes as usize });
         let op = sup.next_op(me);
 
         let is_packed = dtype.signature().count(Primitive::Packed) > 0;
@@ -295,11 +311,9 @@ impl Comm {
         // Wall-clock pipelining: a large derived-type rendezvous streams
         // its payload as chunks so the receiver unpacks chunk k while we
         // pack k+1. Decided before staging so the chunked path never
-        // builds the monolithic buffer. Only blocking sends may stream —
-        // an isend that blocked pumping chunks would deadlock a
-        // head-to-head sendrecv.
-        let mut stream_plan = if may_stream
-            && !eager
+        // builds the monolithic buffer. A buffered send completes locally
+        // and so never streams.
+        let mut stream_plan = if !eager
             && !contiguous
             && matches!(mode, SendMode::Standard | SendMode::Synchronous)
             && bytes >= p.effective_pipeline().threshold_bytes
@@ -502,12 +516,14 @@ impl Comm {
         }
         let sig = dtype.signature().scaled(count as u64)?;
 
+        if iov_regions.is_some() || stream_plan.is_some() {
+            // Neither path runs the pack engine's own bounds check first.
+            check_source_span(buf, origin, dtype, count)?;
+        }
         if let Some(regions) = iov_regions {
             return self.iovec_send(buf, origin, regions, bytes, &p, dst, tag, sig, corrupt_idx);
         }
-
         if let Some(plan) = stream_plan {
-            check_source_span(buf, origin, dtype, count)?;
             return self.stream_send(
                 buf, origin, &plan, bytes, &access, warm, &p, dst, tag, sig, corrupt_idx, op,
                 pool_fault,
@@ -557,7 +573,7 @@ impl Comm {
                         reply: tx,
                     };
                     self.post(dst, tag, payload, sig, proto, None);
-                    return Ok(SendRequest::new(SendState::Pending(rx)));
+                    return Ok(Completion::Pending(rx));
                 }
             }
             SendMode::Standard | SendMode::Synchronous => {
@@ -579,7 +595,7 @@ impl Comm {
                         reply: tx,
                     };
                     self.post(dst, tag, payload, sig, proto, None);
-                    return Ok(SendRequest::new(SendState::Pending(rx)));
+                    return Ok(Completion::Pending(rx));
                 }
             }
             SendMode::Buffered => {
@@ -609,7 +625,69 @@ impl Comm {
         };
 
         self.post(dst, tag, payload, sig, protocol, bsend_release);
-        Ok(SendRequest::new(SendState::Done(self.clock.now())))
+        Ok(Completion::Done(self.clock.now()))
+    }
+
+    /// Block until a posted send is complete; the clock advances to the
+    /// completion time if it has not already passed it. A rendezvous
+    /// spins briefly, then parks until the receiver's reply lands.
+    ///
+    /// Fails with [`CoreError::PeerFailed`] if the fabric is poisoned
+    /// while the rendezvous is pending, or [`CoreError::Deadlock`] after
+    /// the supervision timeout.
+    pub(crate) fn complete_send(&mut self, completion: Completion) -> Result<()> {
+        let rx = match completion {
+            Completion::Done(t) => {
+                self.clock.sync_to(t);
+                return Ok(());
+            }
+            Completion::Pending(rx) => rx,
+        };
+        let sup = Arc::clone(&self.fabric().supervision);
+        let me = self.rank();
+        let deadline = Instant::now() + sup.timeout();
+        sup.set_blocked(me, Some("rendezvous completion"));
+        let mut spins = SPIN_ROUNDS;
+        let res = loop {
+            let now = Instant::now();
+            if let Some(rank) = sup.failed_rank() {
+                // A queued completion still wins over poison.
+                if let Ok(done) = rx.try_recv() {
+                    break Ok(done);
+                }
+                break Err(CoreError::PeerFailed { rank });
+            }
+            if now >= deadline {
+                break Err(CoreError::deadlock("rendezvous completion"));
+            }
+            // Spin briefly before parking: rendezvous replies usually
+            // land within microseconds of the wait.
+            if spins > 0 {
+                spins -= 1;
+                if let Ok(done) = rx.try_recv() {
+                    break Ok(done);
+                }
+                spin_round();
+                continue;
+            }
+            let slice = (deadline - now).min(poll_slice());
+            match rx.recv_timeout(slice) {
+                Ok(done) => break Ok(done),
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => {
+                    // The receiver dropped the envelope without replying:
+                    // its rank failed mid-receive.
+                    break match sup.failed_rank() {
+                        Some(rank) => Err(CoreError::PeerFailed { rank }),
+                        None => Err(CoreError::deadlock("rendezvous completion")),
+                    };
+                }
+            }
+        };
+        sup.set_blocked(me, None);
+        let done = res.map_err(|e| self.fabric().enrich(e))?;
+        self.clock.sync_to(done);
+        Ok(())
     }
 
     fn post(
@@ -621,9 +699,7 @@ impl Comm {
         protocol: Protocol,
         bsend_release: Option<(Arc<AtomicU64>, u64)>,
     ) {
-        let global_dst = self.global_rank(dst);
-        self.fabric().mailboxes[global_dst].push(Envelope {
-            context: self.context(),
+        self.fabric().mailboxes[dst].push(Envelope {
             src: self.rank(),
             tag,
             payload,
@@ -658,7 +734,7 @@ impl Comm {
         corrupt_idx: Option<usize>,
         op: u64,
         pool_fault: bool,
-    ) -> Result<SendRequest> {
+    ) -> Result<Completion> {
         let t_stage = self.clock.now();
         self.charge(p.staging_time(bytes, access, warm));
         self.trace(crate::trace::EventKind::Stage, t_stage, None, bytes as usize, None);
@@ -673,7 +749,7 @@ impl Comm {
             .then(|| Arc::new(crate::invariants::StreamAudit::new(bytes as usize)));
         let chunk = p.effective_pipeline().chunk_bytes.max(1);
         let sup = Arc::clone(&self.fabric().supervision);
-        let me = self.world_rank();
+        let me = self.rank();
         let faults = ChunkFaults { plan: p.fault.clone(), rank: me, op, corrupt_idx };
         let (mut side, offer) =
             handoff::post(buf, origin, Arc::clone(plan), chunk, faults, Arc::clone(&sup));
@@ -695,7 +771,7 @@ impl Comm {
             Ok(Choice::Direct) => {
                 self.gather_direct(|| side.gather_next(), dst, tag);
                 side.finish().map_err(|e| self.fabric().enrich(e))?;
-                return Ok(SendRequest::new(SendState::Pending(reply_rx)));
+                return Ok(Completion::Pending(reply_rx));
             }
             Err(e) => return Err(self.fabric().enrich(e)),
         }
@@ -772,7 +848,7 @@ impl Comm {
                     Err(SendTimeoutError::Disconnected(_)) => {
                         // The receiver abandoned the envelope (it errored
                         // before draining); the rendezvous reply channel
-                        // carries the outcome to `wait`.
+                        // carries the outcome to `complete_send`.
                         break 'pump Ok(());
                     }
                 }
@@ -795,7 +871,7 @@ impl Comm {
         };
         sup.set_blocked(me, None);
         res.map_err(|e| self.fabric().enrich(e))?;
-        Ok(SendRequest::new(SendState::Pending(reply_rx)))
+        Ok(Completion::Pending(reply_rx))
     }
 
     /// This rank's share of a direct gather: claim and gather chunks
@@ -823,7 +899,8 @@ impl Comm {
     /// produce) so the receiver can verify every byte; only the
     /// virtual-time charges differ from the pack path. Per-region
     /// charges are exact (no jitter draws) so the iovec clock is a pure
-    /// function of the region list.
+    /// function of the region list. The caller has checked the source
+    /// span.
     #[allow(clippy::too_many_arguments)]
     fn iovec_send(
         &mut self,
@@ -836,7 +913,7 @@ impl Comm {
         tag: i32,
         sig: nonctg_datatype::Signature,
         corrupt_idx: Option<usize>,
-    ) -> Result<SendRequest> {
+    ) -> Result<Completion> {
         let n = regions.len() as u64;
         let shape = crate::selector::RegionShape::of(&regions, p.mem.cacheline);
         self.charge_exact(p.send_overhead(false));
@@ -864,7 +941,7 @@ impl Comm {
         let (tx, rx) = reply_channel();
         let proto = Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: tx };
         self.post(dst, tag, Payload::Iovec { data, regions: regions.into() }, sig, proto, None);
-        Ok(SendRequest::new(SendState::Pending(rx)))
+        Ok(Completion::Pending(rx))
     }
 
     fn reserve_bsend(&mut self, needed: u64) -> Result<(Arc<AtomicU64>, u64)> {
@@ -931,23 +1008,6 @@ impl Comm {
         tag: Option<i32>,
     ) -> Result<RecvStatus> {
         let t_post = self.clock.now();
-        self.recv_with_post_time(buf, origin, dtype, count, src, tag, t_post)
-    }
-
-    /// Receive whose matching receive was *posted* at virtual time
-    /// `t_post` (used by `irecv`/`wait` to model communication overlap:
-    /// the transfer may complete between posting and waiting).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn recv_with_post_time(
-        &mut self,
-        buf: &mut [u8],
-        origin: usize,
-        dtype: &Datatype,
-        count: usize,
-        src: Option<usize>,
-        tag: Option<i32>,
-        t_post: f64,
-    ) -> Result<RecvStatus> {
         dtype.require_committed()?;
         if let Some(s) = src {
             self.check_rank(s)?;
@@ -955,12 +1015,9 @@ impl Comm {
         let capacity = dt::pack_size(dtype, count)?;
         let p = self.platform().clone();
 
-        let me = self.global_rank(self.rank());
+        let me = self.rank();
         let sup = Arc::clone(&self.fabric().supervision);
-        sup.record_op(
-            me,
-            OpRecord { kind: "recv", peer: src.map(|s| self.global_rank(s)), bytes: capacity },
-        );
+        sup.record_op(me, OpRecord { kind: "recv", peer: src, bytes: capacity });
         let op = sup.next_op(me);
         if let Some(plan) = &p.fault {
             if plan.should_crash(me, op) {
@@ -981,7 +1038,7 @@ impl Comm {
         }
 
         sup.set_blocked(me, Some("a matching message"));
-        let res = self.fabric().mailboxes[me].match_recv(self.context(), src, tag);
+        let res = self.fabric().mailboxes[me].match_recv(src, tag);
         sup.set_blocked(me, None);
         let mut env = res.map_err(|e| self.fabric().enrich(e))?;
         let _bsend_release = BsendReleaseGuard(env.bsend_release.take());
@@ -1103,7 +1160,9 @@ impl Comm {
                     .and_then(|pl| pl.regions(crate::selector::iov_max_regions()));
                 match rregions {
                     Some(rr) => {
-                        let buf_len = buf.len();
+                        if incoming_count > 0 {
+                            check_source_span(buf, origin, dtype, incoming_count)?;
+                        }
                         let mut pos = 0usize;
                         for &(off, len) in &rr {
                             if pos >= data.len() {
@@ -1111,12 +1170,7 @@ impl Comm {
                             }
                             let len = (len as usize).min(data.len() - pos);
                             let lo = (origin as i64 + off) as usize;
-                            buf.get_mut(lo..lo + len)
-                                .ok_or(nonctg_datatype::DatatypeError::BufferTooSmall {
-                                    needed: lo + len,
-                                    available: buf_len,
-                                })?
-                                .copy_from_slice(&data[pos..pos + len]);
+                            buf[lo..lo + len].copy_from_slice(&data[pos..pos + len]);
                             pos += len;
                         }
                         crate::invariants::check_recv_conservation(
@@ -1200,7 +1254,7 @@ impl Comm {
         let plan = dt::plan_for(dtype, incoming_count);
         // Bytes the posted receive actually delivers into `buf`.
         let fit = plan.as_ref().map(|pl| pl.packed_len()).unwrap_or(0);
-        let me = self.global_rank(self.rank());
+        let me = self.rank();
         let sup = Arc::clone(&self.fabric().supervision);
         let deadline = Instant::now() + sup.timeout();
         sup.set_blocked(me, Some("pipelined chunk arrival"));
@@ -1356,11 +1410,5 @@ impl Comm {
         let t = Datatype::of::<T>();
         let n = buf.len();
         self.recv(dt::as_bytes_mut(buf), 0, &t, n, src, tag)
-    }
-
-    /// Non-blocking probe for a matching message.
-    pub fn probe(&self, src: Option<usize>, tag: Option<i32>) -> bool {
-        let me = self.global_rank(self.rank());
-        self.fabric().mailboxes[me].probe(self.context(), src, tag)
     }
 }

@@ -63,7 +63,7 @@ impl Comm {
         let mut plan_failed = false;
         if !matches!(access, Access::Contiguous) {
             if let Some(fp) = self.platform().fault.clone() {
-                let me = self.world_rank();
+                let me = self.rank();
                 let sup = std::sync::Arc::clone(&self.fabric().supervision);
                 let op = sup.next_op(me);
                 if fp.plan_compile_fails(me, op) {

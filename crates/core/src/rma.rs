@@ -56,12 +56,11 @@ impl Comm {
     pub fn win_create(&mut self, local_bytes: usize) -> Result<Window> {
         let id = self.next_win_id;
         self.next_win_id += 1;
-        let key = (self.context(), id);
         let state = {
             let mut wins = self.fabric().windows.lock();
             let n = self.size();
             let sup = Arc::clone(&self.fabric().supervision);
-            Arc::clone(wins.entry(key).or_insert_with(|| Arc::new(WindowState::new(n, sup))))
+            Arc::clone(wins.entry(id).or_insert_with(|| Arc::new(WindowState::new(n, sup))))
         };
         *state.mems[self.rank()].lock() = vec![0u8; local_bytes];
         // Window creation is collective and synchronizing.
@@ -106,7 +105,7 @@ impl Window {
         let t0 = comm.wtime();
         let p = comm.platform().clone();
         let sup = Arc::clone(&comm.fabric().supervision);
-        let me = comm.world_rank();
+        let me = comm.rank();
         sup.set_blocked(me, Some("fence participants"));
         let rounds = (|| -> Result<f64> {
             // Round 1: everyone has issued their epoch's operations.

@@ -19,8 +19,6 @@ pub enum EventKind {
     Send,
     /// Buffered send (local completion).
     Bsend,
-    /// Nonblocking send initiation (local staging only).
-    Isend,
     /// Receive (from posting to delivery).
     Recv,
     /// One-sided put (origin-side work).
@@ -64,10 +62,9 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in discriminant order (`ALL[k as usize] == k`).
-    pub const ALL: [EventKind; 17] = [
+    pub const ALL: [EventKind; 16] = [
         EventKind::Send,
         EventKind::Bsend,
-        EventKind::Isend,
         EventKind::Recv,
         EventKind::Put,
         EventKind::Get,
@@ -92,7 +89,6 @@ impl EventKind {
         match self {
             EventKind::Send => "send",
             EventKind::Bsend => "bsend",
-            EventKind::Isend => "isend",
             EventKind::Recv => "recv",
             EventKind::Put => "put",
             EventKind::Get => "get",
@@ -328,7 +324,7 @@ pub fn ascii_timeline(traces: &[Vec<TraceEvent>], width: usize) -> String {
         return "empty trace\n".into();
     }
     let glyph = |k: EventKind| match k {
-        EventKind::Send | EventKind::Isend => 'S',
+        EventKind::Send => 'S',
         EventKind::Bsend => 'B',
         EventKind::Recv => 'R',
         EventKind::Put => 'P',

@@ -293,62 +293,6 @@ fn explicit_pack_rides_the_ladder() {
     assert!(stats.plan_fallbacks >= 1, "explicit pack did not demote: {stats:?}");
 }
 
-/// `wait_timeout` bounds a rendezvous wait that can never complete with
-/// a typed error and a counter — no hang, no watchdog wait.
-#[test]
-fn wait_timeout_bounds_unmatched_rendezvous() {
-    let start = Instant::now();
-    let results = Universe::run_supervised(short_timeout(5.0), 2, |comm| {
-        if comm.rank() == 0 {
-            let big = vec![3u8; 4 << 20];
-            let req = comm.isend_slice(&big, 1, 0)?;
-            // Rank 1 never posts the matching receive: bounded wait.
-            let err = req.wait_timeout(comm, 0.05).unwrap_err();
-            assert!(
-                matches!(err, CoreError::WaitTimeout { waiting_for: "send completion", .. }),
-                "unexpected error: {err:?}"
-            );
-            // The comm stays usable: release the peer.
-            comm.send_bytes(&[1u8; 8], 1, 1)?;
-            Ok(comm.fault_stats().timeouts)
-        } else {
-            let mut buf = [0u8; 8];
-            comm.recv_bytes(&mut buf, Some(0), Some(1))?;
-            Ok(0)
-        }
-    });
-    assert!(start.elapsed() < Duration::from_secs(2), "wait_timeout hung");
-    assert_eq!(results[0].as_ref().unwrap(), &1, "timeout not counted");
-    assert!(results[1].is_ok(), "peer outcome: {:?}", results[1]);
-}
-
-/// `cancel` tears down an unmatched rendezvous send: typed error,
-/// counted, and the comm stays usable afterwards.
-#[test]
-fn cancel_releases_unmatched_send() {
-    let start = Instant::now();
-    let results = Universe::run_supervised(short_timeout(5.0), 2, |comm| {
-        if comm.rank() == 0 {
-            let big = vec![5u8; 4 << 20];
-            let req = comm.isend_slice(&big, 1, 0)?;
-            let err = req.cancel(comm).unwrap_err();
-            assert!(
-                matches!(err, CoreError::Cancelled { what: "send request" }),
-                "unexpected error: {err:?}"
-            );
-            comm.send_bytes(&[2u8; 8], 1, 1)?;
-            Ok(comm.fault_stats().cancels)
-        } else {
-            let mut buf = [0u8; 8];
-            comm.recv_bytes(&mut buf, Some(0), Some(1))?;
-            Ok(0)
-        }
-    });
-    assert!(start.elapsed() < Duration::from_secs(2), "cancel hung");
-    assert_eq!(results[0].as_ref().unwrap(), &1, "cancel not counted");
-    assert!(results[1].is_ok(), "peer outcome: {:?}", results[1]);
-}
-
 /// An injected receiver-side crash mid-stream surfaces as a typed
 /// `RankPanicked` on the victim; senders observe `PeerFailed` (or have
 /// already completed eagerly) — never a hang.

@@ -5,7 +5,8 @@
 
 use nonctg_core::datatype::Datatype;
 use nonctg_core::selector::{self, CrossoverTable};
-use nonctg_core::{FaultStats, Universe};
+use nonctg_core::datatype::DatatypeError;
+use nonctg_core::{CoreError, FaultStats, Universe};
 use nonctg_simnet::{Datapath, FaultPlan, Platform};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -240,5 +241,66 @@ fn seeded_crossover_tracks_the_cost_model() {
             (seeded / 2..=seeded * 2).contains(&measured),
             "{name}: measured crossover {measured} B drifted from seeded {seeded} B"
         );
+    }
+}
+
+/// A bad user buffer fails the forced iovec datapath with exactly the
+/// typed error the pack datapath returns, before any byte moves: a short
+/// source on the send side; a short buffer or a negative displacement on
+/// the receive side, whose buffer is left untouched.
+#[test]
+fn iovec_bad_buffers_fail_like_pack() {
+    let t = Datatype::vector(256, 4096, 8192, &Datatype::byte()).unwrap().commit();
+    let span = 255 * 8192 + 4096;
+    let oob = |from: i64, to: usize, len: usize| {
+        CoreError::Datatype(DatatypeError::OutOfBounds {
+            needed_from: from,
+            needed_to: to as i64,
+            buffer_len: len,
+        })
+    };
+
+    // Send side: a source 8 bytes short. Rank 1 posts nothing, so a send
+    // that fails before posting leaves no one waiting.
+    let short_send = |path: Datapath| {
+        let t = t.clone();
+        let mut results = Universe::run_supervised(quiet().with_datapath(path), 2, move |comm| {
+            if comm.rank() == 0 {
+                Ok(comm.send(&vec![1u8; span - 8], 0, &t, 1, 1, 0).err())
+            } else {
+                Ok(None)
+            }
+        });
+        results.swap_remove(0)
+    };
+    let pack = short_send(Datapath::Pack);
+    assert_eq!(pack, Ok(Some(oob(0, span, span - 8))));
+    assert_eq!(short_send(Datapath::Iov), pack);
+
+    // Receive side: a valid send into `len` bytes laid out by `rtype`.
+    let recv_into = |path: Datapath, rtype: &Datatype, len: usize| {
+        let (t, rtype) = (t.clone(), rtype.clone());
+        let mut results = Universe::run_supervised(quiet().with_datapath(path), 2, move |comm| {
+            if comm.rank() == 0 {
+                comm.send(&vec![1u8; span], 0, &t, 1, 1, 0)?;
+                Ok(None)
+            } else {
+                let mut buf = vec![0xAAu8; len];
+                let err = comm.recv(&mut buf, 0, &rtype, 1, Some(0), Some(0)).err();
+                Ok(Some((err, buf)))
+            }
+        });
+        let (err, buf) = results.pop().unwrap().unwrap().unwrap();
+        assert!(buf.iter().all(|&b| b == 0xAA), "{path:?}: receive buffer was written");
+        err
+    };
+    let shifted = Datatype::hindexed(&[(1, -8192)], &t).unwrap().commit();
+    for (rtype, len, want) in [
+        (&t, span - 8, oob(0, span, span - 8)),
+        (&shifted, span, oob(-8192, span - 8192, span)),
+    ] {
+        let pack = recv_into(Datapath::Pack, rtype, len);
+        assert_eq!(pack, Some(want));
+        assert_eq!(recv_into(Datapath::Iov, rtype, len), pack);
     }
 }

@@ -132,24 +132,4 @@ proptest! {
         let large = time_of(base * 4);
         prop_assert!(large >= small, "4x payload was faster: {small} vs {large}");
     }
-
-    /// Sending through a split sub-communicator delivers exactly what the
-    /// world communicator would.
-    #[test]
-    fn split_transport_equivalent(elems in 1usize..4000, seed in 0u64..32) {
-        let vals: Vec<f64> = (0..elems).map(|i| (i as f64) + seed as f64).collect();
-        let expect = vals.clone();
-        let got = Universe::run(quiet(), 2, move |comm| {
-            let mut sub = comm.split(0, comm.rank() as i64).unwrap().expect("member");
-            if sub.rank() == 0 {
-                sub.send_slice(&vals, 1, 3).unwrap();
-                Vec::new()
-            } else {
-                let mut buf = vec![0.0f64; vals.len()];
-                sub.recv_slice(&mut buf, Some(0), Some(3)).unwrap();
-                buf
-            }
-        });
-        prop_assert_eq!(&got[1], &expect);
-    }
 }

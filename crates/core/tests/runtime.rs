@@ -714,3 +714,23 @@ fn trace_captures_pingpong_structure() {
         assert!(w[1].t_start >= w[0].t_start);
     }
 }
+
+#[test]
+fn status_count_and_elements() {
+    Universe::run(quiet(), 2, |comm| {
+        if comm.rank() == 0 {
+            comm.send_slice(&[1.0f64, 2.0, 3.0], 1, 0).unwrap();
+        } else {
+            // Post a larger receive; 3 of 8 elements arrive.
+            let mut buf = vec![0.0f64; 8];
+            let st = comm.recv_slice(&mut buf, Some(0), Some(0)).unwrap();
+            let f64_t = Datatype::f64();
+            assert_eq!(st.count(&f64_t), Some(3));
+            assert_eq!(st.element_count(&f64_t), Some(3));
+            // As pairs: one whole pair plus a partial with 1 element.
+            let pair = Datatype::contiguous(2, &f64_t).unwrap();
+            assert_eq!(st.count(&pair), None, "3 doubles are not whole pairs");
+            assert_eq!(st.element_count(&pair), Some(3));
+        }
+    });
+}

@@ -37,7 +37,7 @@ pub fn phase_of_name(name: &str) -> &'static str {
     match name {
         "pack" | "stage" => "pack",
         "unpack" | "unstage" => "unpack",
-        "send" | "bsend" | "isend" | "recv" | "put" | "get" | "chunk" => "transfer",
+        "send" | "bsend" | "recv" | "put" | "get" | "chunk" => "transfer",
         "fence" | "barrier" | "flush" => "sync",
         _ => "other",
     }

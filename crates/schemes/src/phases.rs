@@ -62,7 +62,6 @@ impl Phase {
             EventKind::Barrier | EventKind::Fence | EventKind::Flush => Phase::Sync,
             EventKind::Send
             | EventKind::Bsend
-            | EventKind::Isend
             | EventKind::Recv
             | EventKind::Put
             | EventKind::Get
@@ -345,7 +344,6 @@ mod tests {
         assert_eq!(Phase::of(EventKind::Stage), Phase::Pack);
         assert_eq!(Phase::of(EventKind::Unstage), Phase::Unpack);
         assert_eq!(Phase::of(EventKind::Fence), Phase::Sync);
-        assert_eq!(Phase::of(EventKind::Isend), Phase::Transfer);
     }
 
     #[test]

@@ -21,13 +21,6 @@ impl VirtualClock {
         VirtualClock { now: 0.0 }
     }
 
-    /// A clock starting at an arbitrary time (e.g. continuing a rank's
-    /// timeline on a new communicator handle).
-    pub fn starting_at(t: f64) -> Self {
-        assert!(t.is_finite() && t >= 0.0, "invalid clock start: {t}");
-        VirtualClock { now: t }
-    }
-
     /// Current virtual time in seconds.
     #[inline]
     pub fn now(&self) -> f64 {

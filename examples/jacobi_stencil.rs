@@ -4,7 +4,8 @@
 //! * a 2x2 process grid over a square domain;
 //! * row halos exchanged as contiguous types, column halos as *subarray*
 //!   derived types (no manual packing — the paper's §5 advice);
-//! * deadlock-free neighbor exchange with `sendrecv`;
+//! * deadlock-free neighbor exchange with blocking `send`/`recv` pairs
+//!   (the lower rank of each pair sends first);
 //! * convergence decided with an `allreduce(Max)` of the local residuals.
 //!
 //! Solves Laplace's equation with fixed boundary values and verifies the
@@ -55,51 +56,44 @@ fn neighbors(rank: usize) -> Neighbors {
     }
 }
 
-// The `to_vec` clones below are required, not waste: `sendrecv` reads the
-// send region and writes the ghost region of the *same* grid, so the send
-// side is snapshotted to satisfy the borrow checker (and MPI's aliasing
-// rules).
-#[allow(clippy::unnecessary_to_owned)]
+/// Swap one halo with `peer`: send `dtype` read at byte `send` of `grid`,
+/// receive `dtype` into byte `recv`. The lower rank sends first and the
+/// higher receives first, so each pair is deadlock-free at any message
+/// size, and the send never aliases the ghost region being received.
+fn swap_halo(
+    comm: &mut Comm,
+    grid: &mut [f64],
+    dtype: &Datatype,
+    send: usize,
+    recv: usize,
+    peer: usize,
+    tag: i32,
+) {
+    let send_first = comm.rank() < peer;
+    if send_first {
+        comm.send(as_bytes(grid), send, dtype, 1, peer, tag).expect("halo exchange");
+    }
+    comm.recv(as_bytes_mut(grid), recv, dtype, 1, Some(peer), Some(tag)).expect("halo exchange");
+    if !send_first {
+        comm.send(as_bytes(grid), send, dtype, 1, peer, tag).expect("halo exchange");
+    }
+}
+
 fn exchange_halos(comm: &mut Comm, grid: &mut [f64], col_t: &Datatype, row_t: &Datatype) {
     let nb = neighbors(comm.rank());
-    // North/south rows (contiguous). Order: send north/recv south first on
-    // even rows to pair up; sendrecv makes ordering deadlock-free anyway.
+    // North/south rows (contiguous).
     if let Some(n) = nb.north {
-        let send = at(1, 1) * 8;
-        let recv = at(0, 1) * 8;
-        comm.sendrecv(
-            &as_bytes(grid).to_vec(), send, row_t, 1, n, 10,
-            as_bytes_mut(grid), recv, row_t, 1, Some(n), Some(10),
-        )
-        .expect("north exchange");
+        swap_halo(comm, grid, row_t, at(1, 1) * 8, at(0, 1) * 8, n, 10);
     }
     if let Some(s) = nb.south {
-        let send = at(N, 1) * 8;
-        let recv = at(N + 1, 1) * 8;
-        comm.sendrecv(
-            &as_bytes(grid).to_vec(), send, row_t, 1, s, 10,
-            as_bytes_mut(grid), recv, row_t, 1, Some(s), Some(10),
-        )
-        .expect("south exchange");
+        swap_halo(comm, grid, row_t, at(N, 1) * 8, at(N + 1, 1) * 8, s, 10);
     }
     // West/east columns (subarray derived type, stride W).
     if let Some(w) = nb.west {
-        let send = at(1, 1) * 8;
-        let recv = at(1, 0) * 8;
-        comm.sendrecv(
-            &as_bytes(grid).to_vec(), send, col_t, 1, w, 11,
-            as_bytes_mut(grid), recv, col_t, 1, Some(w), Some(11),
-        )
-        .expect("west exchange");
+        swap_halo(comm, grid, col_t, at(1, 1) * 8, at(1, 0) * 8, w, 11);
     }
     if let Some(e) = nb.east {
-        let send = at(1, N) * 8;
-        let recv = at(1, N + 1) * 8;
-        comm.sendrecv(
-            &as_bytes(grid).to_vec(), send, col_t, 1, e, 11,
-            as_bytes_mut(grid), recv, col_t, 1, Some(e), Some(11),
-        )
-        .expect("east exchange");
+        swap_halo(comm, grid, col_t, at(1, N) * 8, at(1, N + 1) * 8, e, 11);
     }
 }
 
