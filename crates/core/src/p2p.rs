@@ -25,10 +25,12 @@ use nonctg_simnet::{Access, Datapath, Platform};
 use crate::comm::{CacheState, Comm};
 use crate::error::{CoreError, Result};
 use crate::fabric::{
-    poll_slice, reply_channel, spin_round, Envelope, OpRecord, Payload, PooledBuf, Protocol,
-    SPIN_ROUNDS,
+    poll_slice, reply_channel, spin_round, Envelope, FaultStats, OpRecord, Payload, PooledBuf,
+    Protocol, SPIN_ROUNDS,
 };
 use crate::handoff::{self, Choice, ChunkFaults, Gathered};
+use crate::selector::{self, RegionShape, SendKind};
+use crate::trace::EventKind;
 
 /// Bytes of bookkeeping the attached buffer pays per buffered message
 /// (`MPI_BSEND_OVERHEAD`).
@@ -143,8 +145,8 @@ impl Drop for BsendReleaseGuard {
 
 /// Check that every byte `count` instances of `dtype` touch from byte
 /// `origin` lies inside `buf` — the span check the pack engine runs
-/// before it touches a buffer, with the same error. The streamed and
-/// iovec sends run it before posting, so a bad source fails on the sender
+/// before it touches a buffer, with the same error. Every send runs it
+/// before deciding anything, so a short source fails before any staging
 /// and never inside the receiver's share of a direct gather; the iovec
 /// receive runs it before its scatter writes anything.
 fn check_source_span(buf: &[u8], origin: usize, dtype: &Datatype, count: usize) -> Result<()> {
@@ -162,6 +164,170 @@ fn check_source_span(buf: &[u8], origin: usize, dtype: &Datatype, count: usize) 
         .into());
     }
     Ok(())
+}
+
+/// How a send's payload moves: the engine boundary of mpicd's
+/// `PackMethod::{Contiguous, Custom, MemRegions}`.
+#[derive(Default)]
+enum Route {
+    /// A dense type, staged whole.
+    Contiguous,
+    /// A derived type gathered whole through its compiled plan.
+    #[default]
+    Plan,
+    /// A derived type gathered whole by the uncompiled interpreter: the
+    /// element engine, or the plan-compile fault rung.
+    Uncompiled,
+    /// A large derived rendezvous streamed in chunks of this plan.
+    Stream(Arc<PackPlan>),
+    /// Zero-copy: the NIC gathers these `(offset, len)` regions.
+    Iov(Vec<(i64, u64)>),
+}
+
+/// Every choice one send makes, taken by [`decide_send`] before anything
+/// is staged and applied by `send_impl` in one place.
+#[derive(Default)]
+struct SendDecision {
+    /// Eager protocol (no handshake) rather than a rendezvous.
+    eager: bool,
+    route: Route,
+    /// Pool rung: stage through owned buffers, never pooled ones.
+    pool_fault: bool,
+    /// The payload byte injected corruption flips in flight.
+    corrupt_idx: Option<usize>,
+    /// Exact charges, in this order: one doubling backoff per failed
+    /// attempt, the injected delay, the link-degradation surcharge.
+    backoffs: u32,
+    delay: f64,
+    link_surcharge: f64,
+    /// Counters this send adds; `failed_sends` set means every attempt
+    /// failed and the send surfaces [`CoreError::SendFailed`].
+    faults: FaultStats,
+    /// The auto-mode selector's choice (`None`: dense type or forced).
+    selected: Option<Datapath>,
+}
+
+/// Decide how one send of `bytes` moves: protocol, route, fault rungs
+/// and exact fault charges. Pure: every fault choice is a function of
+/// (plan, rank, op), so a rerun of the same seed decides identically,
+/// and nothing is charged, counted or traced here (an injected crash of
+/// the rank panics here, as it would anywhere). The rungs that fired are
+/// the nonzero counters of `faults`.
+#[allow(clippy::too_many_arguments)]
+fn decide_send(
+    p: &Platform,
+    me: usize,
+    op: u64,
+    dtype: &Datatype,
+    count: usize,
+    bytes: u64,
+    access: &Access,
+    mode: &SendMode,
+) -> SendDecision {
+    let contiguous = matches!(access, Access::Contiguous);
+    let kind = SendKind {
+        packed: dtype.signature().count(Primitive::Packed) > 0,
+        synchronous: matches!(mode, SendMode::Synchronous),
+        buffered: matches!(mode, SendMode::Buffered),
+    };
+    let eager = kind.eager(p, bytes);
+    // Wall-clock pipelining: a large derived-type rendezvous streams its
+    // payload as chunks so the receiver unpacks chunk k while we pack
+    // k+1. A buffered send completes locally and so never streams.
+    let route = if contiguous {
+        Route::Contiguous
+    } else if !eager && !kind.buffered && bytes >= p.effective_pipeline().threshold_bytes {
+        dt::plan_for(dtype, count).map_or(Route::Plan, Route::Stream)
+    } else {
+        Route::Plan
+    };
+    let mut d = SendDecision { eager, route, ..SendDecision::default() };
+
+    if let Some(plan) = &p.fault {
+        if plan.should_crash(me, op) {
+            panic!("fault plan: injected crash of rank {me} at op {op}");
+        }
+        let fault = plan.send_decision(me, op, bytes);
+        if fault.is_persistent() || fault.transient_failures >= MAX_SEND_ATTEMPTS {
+            // One backoff between consecutive attempts, then give up.
+            d.backoffs = MAX_SEND_ATTEMPTS - 1;
+            d.faults.failed_sends = 1;
+            return d;
+        }
+        // Fewer failures are absorbed by retry; the send then proceeds
+        // as if clean.
+        d.backoffs = fault.transient_failures;
+        d.faults.transient_retries = fault.transient_failures as u64;
+        if fault.delay > 0.0 {
+            d.delay = fault.delay;
+            d.faults.delays = 1;
+        }
+        if fault.corrupt && bytes > 0 {
+            d.corrupt_idx = Some(plan.corrupt_index(me, op, bytes as usize));
+            d.faults.corruptions = 1;
+        }
+        // Sustained link degradation: a burst window multiplies the base
+        // latency; the surcharge above 1x is charged.
+        let lf = plan.latency_factor(op);
+        if lf > 1.0 {
+            d.link_surcharge = p.net.latency * (lf - 1.0);
+            d.faults.link_degradations = 1;
+        }
+        // Plan compilation failure: the send falls back to the
+        // uncompiled interpreter, which also rules out streaming (it
+        // requires a compiled plan).
+        if !contiguous && plan.plan_compile_fails(me, op) {
+            d.route = Route::Uncompiled;
+            d.faults.plan_fallbacks = 1;
+        }
+        // Chunk-fault forecast: repeated per-chunk faults in this op's
+        // known chunk schedule demote the transfer to the whole-payload
+        // rendezvous before any chunk machinery spins up. Below the
+        // threshold the stream absorbs each fault by re-packing.
+        if matches!(d.route, Route::Stream(_)) {
+            let chunk = p.effective_pipeline().chunk_bytes.max(1);
+            let faulty = (0..bytes.div_ceil(chunk))
+                .filter(|&c| plan.chunk_decision(me, op, c).is_faulty())
+                .count();
+            if faulty >= CHUNK_DEMOTE_THRESHOLD {
+                d.route = Route::Plan;
+                d.faults.pipeline_demotions = 1;
+            }
+        }
+        // Payload-pool exhaustion: staging falls back from recycled pool
+        // buffers to owned allocations for this whole send.
+        if plan.pool_exhausted(me, op) {
+            d.pool_fault = true;
+            d.faults.pool_exhaustions = 1;
+        }
+    }
+
+    // Datapath selection (see `selector::select`). Iovec also needs a
+    // compiled plan that lowers to a bounded region list: `Some(None)` is
+    // one past the iovec cap (ddtbench WRF halos routinely are).
+    if !contiguous {
+        let compiled = !matches!(d.route, Route::Uncompiled);
+        let regions = (compiled && kind.iov_eligible(p, bytes))
+            .then(|| dt::plan_for(dtype, count))
+            .flatten()
+            .map(|pl| pl.regions(selector::iov_max_regions()));
+        let bounded = regions.as_ref().and_then(Option::as_ref);
+        let shape = bounded.map(|r| RegionShape::of(r, p.mem.cacheline));
+        let choice = selector::select(p, bytes, kind, || shape);
+        d.selected = (p.effective_datapath() == Datapath::Auto).then_some(choice);
+        match (choice, regions) {
+            (Datapath::Iov, Some(Some(regions))) if !d.pool_fault => d.route = Route::Iov(regions),
+            // Iovec rung: without its staging pool, or past the region
+            // cap, an iovec choice demotes to pack, counted and traced.
+            // (Eager and plan-failure sends never were iovec-eligible and
+            // stay silent; the latter already counts `plan_fallbacks`.)
+            (Datapath::Iov, Some(_)) => d.faults.iovec_demotions = 1,
+            // The uncompiled engine: no plan, no streaming.
+            (Datapath::Elem, _) => d.route = Route::Uncompiled,
+            _ => {}
+        }
+    }
+    d
 }
 
 /// Where a receive of `incoming_count` instances of `dtype` at byte
@@ -280,6 +446,9 @@ impl Comm {
         Ok(())
     }
 
+    /// Post one send: validate it, take every decision up front
+    /// ([`decide_send`]), apply the decision's charges, counters and
+    /// trace events, then run its route.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_impl(
         &mut self,
@@ -294,6 +463,11 @@ impl Comm {
         self.check_rank(dst)?;
         dtype.require_committed()?;
         let bytes = dt::pack_size(dtype, count)? as u64;
+        // Every route reads the whole span, so a short source fails here:
+        // before staging anything, consuming a fault op or counting.
+        if bytes > 0 {
+            check_source_span(buf, origin, dtype, count)?;
+        }
         let access = Access::classify(dtype);
         let warm = self.is_warm();
         let p = self.platform().clone();
@@ -303,231 +477,51 @@ impl Comm {
         sup.record_op(me, OpRecord { kind: "send", peer: Some(dst), bytes: bytes as usize });
         let op = sup.next_op(me);
 
-        let is_packed = dtype.signature().count(Primitive::Packed) > 0;
-        let eager =
-            !matches!(mode, SendMode::Synchronous) && bytes <= p.eager_threshold(is_packed);
-        let contiguous = matches!(access, Access::Contiguous);
-
-        // Wall-clock pipelining: a large derived-type rendezvous streams
-        // its payload as chunks so the receiver unpacks chunk k while we
-        // pack k+1. Decided before staging so the chunked path never
-        // builds the monolithic buffer. A buffered send completes locally
-        // and so never streams.
-        let mut stream_plan = if !eager
-            && !contiguous
-            && matches!(mode, SendMode::Standard | SendMode::Synchronous)
-            && bytes >= p.effective_pipeline().threshold_bytes
-        {
-            dt::plan_for(dtype, count)
-        } else {
-            None
-        };
-
-        // Fault decisions are taken before any staging so both datapaths
-        // share them; all fault charges are exact (no jitter draws), so
-        // the virtual clock is identical whichever path runs. The v2
-        // degradation ladder is also decided here: every demotion flag is
-        // a pure function of (plan, rank, op), so a rerun of the same
-        // seed makes identical choices.
-        let mut corrupt_idx = None;
-        let mut pool_fault = false; // pooled staging -> owned buffers
-        let mut plan_failed = false; // compiled plan -> uncompiled kernel
-        if let Some(plan) = &p.fault {
-            if plan.should_crash(me, op) {
-                panic!("fault plan: injected crash of rank {me} at op {op}");
-            }
-            let fault = plan.send_decision(me, op, bytes);
-            if !fault.is_clean() {
-                if fault.is_persistent() || fault.transient_failures >= MAX_SEND_ATTEMPTS {
-                    // Every attempt fails: charge the full backoff schedule
-                    // (one wait between consecutive attempts) and give up.
-                    let mut backoff = SEND_BACKOFF_BASE_S;
-                    for _ in 1..MAX_SEND_ATTEMPTS {
-                        self.charge_exact(backoff);
-                        backoff *= 2.0;
-                    }
-                    sup.with_faults(me, |s| s.failed_sends += 1);
-                    return Err(CoreError::SendFailed { dst, attempts: MAX_SEND_ATTEMPTS });
-                }
-                if fault.transient_failures > 0 {
-                    // Absorbed by retry: charge one doubling backoff per
-                    // failed attempt, then proceed as if clean.
-                    let mut backoff = SEND_BACKOFF_BASE_S;
-                    for _ in 0..fault.transient_failures {
-                        self.charge_exact(backoff);
-                        backoff *= 2.0;
-                    }
-                    sup.with_faults(me, |s| s.transient_retries += fault.transient_failures as u64);
-                }
-                if fault.delay > 0.0 {
-                    self.charge_exact(fault.delay);
-                    sup.with_faults(me, |s| s.delays += 1);
-                }
-                if fault.corrupt && bytes > 0 {
-                    corrupt_idx = Some(plan.corrupt_index(me, op, bytes as usize));
-                    sup.with_faults(me, |s| s.corruptions += 1);
-                }
-            }
-
-            // Sustained link degradation: a burst window multiplies the
-            // base latency; the surcharge above 1x is an exact charge so
-            // both datapaths see the same virtual clock.
-            let lf = plan.latency_factor(op);
-            if lf > 1.0 {
-                self.charge_exact(p.net.latency * (lf - 1.0));
-                sup.with_faults(me, |s| s.link_degradations += 1);
-            }
-
-            // Plan compilation failure: the compiled pack plan for this
-            // derived type "fails to build", so the send falls back to
-            // the uncompiled interpreter — which also rules out
-            // the chunk-streaming path (it requires a compiled plan).
-            if !contiguous && plan.plan_compile_fails(me, op) {
-                plan_failed = true;
-                stream_plan = None;
-                sup.with_faults(me, |s| s.plan_fallbacks += 1);
-                let t = self.clock.now();
-                self.trace(crate::trace::EventKind::Demote, t, Some(dst), bytes as usize, Some(tag));
-            }
-
-            // Chunk-fault forecast: with this op's chunk schedule known
-            // up front, repeated per-chunk faults demote the transfer
-            // from pipelined to the monolithic (whole-payload)
-            // rendezvous before any chunk machinery spins up. Below the
-            // threshold the stream runs and absorbs each fault by
-            // re-packing (see `stream_send`).
-            if stream_plan.is_some() {
-                let chunk = p.effective_pipeline().chunk_bytes.max(1);
-                let n_chunks = bytes.div_ceil(chunk);
-                let faulty = (0..n_chunks)
-                    .filter(|&c| plan.chunk_decision(me, op, c).is_faulty())
-                    .count();
-                if faulty >= CHUNK_DEMOTE_THRESHOLD {
-                    stream_plan = None;
-                    sup.with_faults(me, |s| s.pipeline_demotions += 1);
-                    let t = self.clock.now();
-                    self.trace(crate::trace::EventKind::Demote, t, Some(dst), bytes as usize, Some(tag));
-                }
-            }
-
-            // Payload-pool exhaustion: staging falls back from recycled
-            // pool buffers to owned allocations for this whole send.
-            if plan.pool_exhausted(me, op) {
-                pool_fault = true;
-                sup.with_faults(me, |s| s.pool_exhaustions += 1);
-                let t = self.clock.now();
-                self.trace(crate::trace::EventKind::Demote, t, Some(dst), bytes as usize, Some(tag));
-            }
+        let d = decide_send(&p, me, op, dtype, count, bytes, &access, &mode);
+        // Fault charges are exact (no jitter draws), so the virtual clock
+        // is identical whichever route runs.
+        let mut backoff = SEND_BACKOFF_BASE_S;
+        for _ in 0..d.backoffs {
+            self.charge_exact(backoff);
+            backoff *= 2.0;
         }
-        // Datapath selection (the adaptive engine): pack plan vs
-        // zero-copy iovec vs element copies. Forced modes (platform
-        // builder or `NONCTG_DATAPATH`) bypass the selector; auto
-        // consults the platform's crossover table. Iovec additionally
-        // needs a rendezvous, a compiled plan, and a bounded region
-        // list; when those are missing the choice falls back to pack.
-        let mut elem_pack = false;
-        let mut iov_regions: Option<Vec<(i64, u64)>> = None;
-        if !contiguous {
-            let iov_eligible = !eager
-                && !plan_failed
-                && matches!(mode, SendMode::Standard | SendMode::Synchronous);
-            // `capped` distinguishes "plan lowers to more regions than
-            // the iovec cap" (ddtbench WRF halos routinely do) from "no
-            // compiled plan at all": a capped list must *deterministically*
-            // demote a forced-iov send to pack, visibly.
-            let mut capped = false;
-            let regions = if iov_eligible {
-                dt::plan_for(dtype, count).and_then(|pl| {
-                    let r = pl.regions(crate::selector::iov_max_regions());
-                    capped = r.is_none();
-                    r
-                })
-            } else {
-                None
-            };
-            // Region-length shape for the selector and the cost model:
-            // sub-cacheline regions pay a full descriptor overhead.
-            let shape = regions
-                .as_ref()
-                .map(|r| crate::selector::RegionShape::of(r, p.mem.cacheline));
-            let choice = match p.effective_datapath() {
-                Datapath::Auto => {
-                    let c = crate::selector::choose_shape(p.id, bytes, shape);
-                    crate::selector::record(c);
-                    let t = self.clock.now();
-                    self.trace(
-                        crate::trace::EventKind::Select,
-                        t,
-                        Some(dst),
-                        bytes as usize,
-                        Some(tag),
-                    );
-                    c
-                }
-                forced => forced,
-            };
-            match choice {
-                Datapath::Iov if regions.is_some() => {
-                    if pool_fault {
-                        // Fault rung: with its staging pool gone, the
-                        // zero-copy path demotes to the pack plan for
-                        // this send.
-                        sup.with_faults(me, |s| s.iovec_demotions += 1);
-                        let t = self.clock.now();
-                        self.trace(
-                            crate::trace::EventKind::Demote,
-                            t,
-                            Some(dst),
-                            bytes as usize,
-                            Some(tag),
-                        );
-                    } else {
-                        iov_regions = regions;
-                        stream_plan = None;
-                    }
-                }
-                Datapath::Iov if capped => {
-                    // Forced iovec without a bounded region list, because
-                    // the plan lowered to more than `iov_max_regions()`
-                    // descriptors: the region-cap overflow rung of the
-                    // degradation ladder. Count it and trace it like every
-                    // other iovec demotion instead of silently packing.
-                    // (Eager-protocol and plan-failure fall-throughs reach
-                    // `_` and stay silent: the former never was
-                    // iovec-eligible, the latter already counts
-                    // `plan_fallbacks`.)
-                    sup.with_faults(me, |s| s.iovec_demotions += 1);
-                    let t = self.clock.now();
-                    self.trace(
-                        crate::trace::EventKind::Demote,
-                        t,
-                        Some(dst),
-                        bytes as usize,
-                        Some(tag),
-                    );
-                }
-                Datapath::Elem => {
-                    // The uncompiled engine: no plan, no streaming.
-                    elem_pack = true;
-                    stream_plan = None;
-                }
-                _ => {}
-            }
+        self.charge_exact(d.delay);
+        self.charge_exact(d.link_surcharge);
+        if d.faults != FaultStats::default() {
+            sup.with_faults(me, |s| s.absorb(d.faults));
+        }
+        if d.faults.failed_sends > 0 {
+            return Err(CoreError::SendFailed { dst, attempts: MAX_SEND_ATTEMPTS });
+        }
+        if let Some(choice) = d.selected {
+            selector::record(choice);
+        }
+        // The ladder's events in rung order: the plan or the pipeline rung
+        // (never both), the pool rung, the selector, the iovec rung.
+        let f = &d.faults;
+        let events = [
+            (f.plan_fallbacks + f.pipeline_demotions > 0, EventKind::Demote),
+            (f.pool_exhaustions > 0, EventKind::Demote),
+            (d.selected.is_some(), EventKind::Select),
+            (f.iovec_demotions > 0, EventKind::Demote),
+        ];
+        for (_, kind) in events.into_iter().filter(|e| e.0) {
+            let t = self.clock.now();
+            self.trace(kind, t, Some(dst), bytes as usize, Some(tag));
         }
         let sig = dtype.signature().scaled(count as u64)?;
 
-        if iov_regions.is_some() || stream_plan.is_some() {
-            // Neither path runs the pack engine's own bounds check first.
-            check_source_span(buf, origin, dtype, count)?;
-        }
-        if let Some(regions) = iov_regions {
-            return self.iovec_send(buf, origin, regions, bytes, &p, dst, tag, sig, corrupt_idx);
-        }
-        if let Some(plan) = stream_plan {
-            return self.stream_send(
-                buf, origin, &plan, bytes, &access, warm, &p, dst, tag, sig, corrupt_idx, op,
-                pool_fault,
-            );
+        match d.route {
+            Route::Iov(regions) => {
+                return self.iovec_send(buf, origin, regions, bytes, &p, dst, tag, sig, d.corrupt_idx)
+            }
+            Route::Stream(plan) => {
+                return self.stream_send(
+                    buf, origin, &plan, bytes, &access, warm, &p, dst, tag, sig, d.corrupt_idx,
+                    op, d.pool_fault,
+                )
+            }
+            Route::Contiguous | Route::Plan | Route::Uncompiled => {}
         }
 
         // Real data movement: stage the payload contiguously. The type is
@@ -535,33 +529,32 @@ impl Comm {
         // buffer comes from (and returns to) the fabric's payload pool,
         // so steady-state sends allocate nothing. Under pool exhaustion
         // the ladder drops to a plain owned allocation (never pooled).
-        let mut packed = if pool_fault {
+        let mut packed = if d.pool_fault {
             PooledBuf::detached(vec![0u8; bytes as usize])
         } else {
             self.fabric().pool.take(bytes as usize)
         };
-        if plan_failed || elem_pack {
+        if matches!(d.route, Route::Uncompiled) {
             dt::pack_into_uncompiled(buf, origin, dtype, count, &mut packed)?;
         } else {
             dt::pack_into(buf, origin, dtype, count, &mut packed)?;
         }
-        if let Some(idx) = corrupt_idx {
+        if let Some(idx) = d.corrupt_idx {
             packed[idx] ^= 0xFF;
             // Corrupted payload bytes must never linger in a recycled
             // staging buffer: quarantine the allocation on drop.
             packed.poison();
         }
         let payload = Payload::Whole(packed);
-
         let mut bsend_release = None;
         let protocol = match mode {
-            SendMode::Standard | SendMode::Synchronous if contiguous => {
+            SendMode::Standard | SendMode::Synchronous if matches!(d.route, Route::Contiguous) => {
                 // Reference path: NIC streams the buffer, reads overlap the
                 // wire (paper §2.1, proportionality ~1).
                 let inject = p.contiguous_injection(bytes) * self.jitter.factor();
-                self.charge_exact(p.send_overhead(eager));
+                self.charge_exact(p.send_overhead(d.eager));
                 self.cache = CacheState::Warm;
-                if eager {
+                if d.eager {
                     self.clock.advance(inject);
                     Protocol::Eager { avail: self.clock.now() + p.net.latency }
                 } else {
@@ -582,10 +575,10 @@ impl Comm {
                 let t_stage = self.clock.now();
                 self.charge(p.staging_time(bytes, &access, warm));
                 self.trace(crate::trace::EventKind::Stage, t_stage, None, bytes as usize, None);
-                self.charge_exact(p.send_overhead(eager));
+                self.charge_exact(p.send_overhead(d.eager));
                 self.cache = CacheState::Warm;
                 let wire = p.wire_time(bytes, 1.0) * self.jitter.factor();
-                if eager {
+                if d.eager {
                     Protocol::Eager { avail: self.clock.now() + p.net.latency + wire }
                 } else {
                     let (tx, rx) = reply_channel();
@@ -615,7 +608,7 @@ impl Comm {
                 self.charge_exact(p.send_overhead(true));
                 self.cache = CacheState::Warm;
                 let wire = p.wire_time(bytes, 1.0) * self.jitter.factor();
-                if eager {
+                if d.eager {
                     Protocol::Eager { avail: self.clock.now() + p.net.latency + wire }
                 } else {
                     // Local completion now; transfer rendezvouses on its own.
@@ -989,7 +982,8 @@ impl Comm {
 
     /// Space needed in the attached buffer for one buffered send.
     pub fn bsend_size(dtype: &Datatype, count: usize) -> Result<usize> {
-        Ok(dt::pack_size(dtype, count)? + BSEND_OVERHEAD_BYTES as usize)
+        let size = dt::pack_size(dtype, count)?;
+        size.checked_add(BSEND_OVERHEAD_BYTES as usize).ok_or(dt::DatatypeError::Overflow.into())
     }
 
     // ------------------------------------------------------------------

@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use nonctg_simnet::{Datapath, PlatformId};
+use nonctg_simnet::{Datapath, Platform, PlatformId};
 
 /// Default cap on how many regions an iovec send may carry; region lists
 /// beyond this fall back to the pack path (descriptor tables stop
@@ -112,7 +112,7 @@ impl CrossoverTable {
 /// many of those regions are shorter than one cacheline. Sub-line
 /// descriptors fall off the NIC's batched fast path and each cost a full
 /// per-call overhead instead of the batched quarter (see
-/// `Platform::iov_overhead`), so a skewed layout mixing a few long
+/// `Platform::iov_overhead_shaped`), so a skewed layout mixing a few long
 /// regions with many tiny ones is far more expensive than its *mean*
 /// region length suggests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,11 +174,51 @@ pub fn choose_shape(id: PlatformId, bytes: u64, shape: Option<RegionShape>) -> D
     Datapath::Pack
 }
 
-/// [`choose_shape`] for a uniform region list of `nregions` regions —
-/// the calibration probe's shape, kept as the stable entry point for
-/// callers that only know a count.
-pub fn choose(id: PlatformId, bytes: u64, nregions: Option<u64>) -> Datapath {
-    choose_shape(id, bytes, nregions.map(RegionShape::uniform))
+/// What one send is, as far as its protocol and the zero-copy path are
+/// concerned. `Default` is a standard send of a type without
+/// `MPI_PACKED` bytes: the send the sweeps' selection mirrors model.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SendKind {
+    /// The type carries `MPI_PACKED` bytes (the packed eager limit applies).
+    pub packed: bool,
+    /// `MPI_Ssend`: a rendezvous at every size.
+    pub synchronous: bool,
+    /// `MPI_Bsend`: completes locally, so it never gathers in place.
+    pub buffered: bool,
+}
+
+impl SendKind {
+    /// Whether a send of `bytes` runs the eager protocol on `platform`.
+    pub fn eager(self, platform: &Platform, bytes: u64) -> bool {
+        !self.synchronous && bytes <= platform.eager_threshold(self.packed)
+    }
+
+    /// Whether the send may take the zero-copy iovec path at all: a
+    /// rendezvous that waits for its receiver.
+    pub fn iov_eligible(self, platform: &Platform, bytes: u64) -> bool {
+        !self.eager(platform, bytes) && !self.buffered
+    }
+}
+
+/// The engine one non-contiguous send of `bytes` takes. A forced engine
+/// (`Platform::with_datapath` or `NONCTG_DATAPATH`) wins outright;
+/// otherwise [`choose_shape`] decides on the send's region shape, which
+/// `shape` is asked for only when the send is
+/// [iovec-eligible](SendKind::iov_eligible). The runtime and the sweeps'
+/// mirrors of it all decide through this one function.
+pub fn select(
+    platform: &Platform,
+    bytes: u64,
+    kind: SendKind,
+    shape: impl FnOnce() -> Option<RegionShape>,
+) -> Datapath {
+    match platform.effective_datapath() {
+        Datapath::Auto => {
+            let shape = if kind.iov_eligible(platform, bytes) { shape() } else { None };
+            choose_shape(platform.id, bytes, shape)
+        }
+        forced => forced,
+    }
 }
 
 static SEL_PACK: AtomicU64 = AtomicU64::new(0);
@@ -244,11 +284,16 @@ pub fn reset_selector_counters() {
 mod tests {
     use super::*;
 
+    /// The selector's choice for a uniform list of `n` regions.
+    fn choose_uniform(id: PlatformId, bytes: u64, n: Option<u64>) -> Datapath {
+        choose_shape(id, bytes, n.map(RegionShape::uniform))
+    }
+
     #[test]
     fn tiny_messages_go_elementwise() {
         for id in PlatformId::ALL {
-            assert_eq!(choose(id, 64, Some(8)), Datapath::Elem);
-            assert_eq!(choose(id, 256, None), Datapath::Elem);
+            assert_eq!(choose_uniform(id, 64, Some(8)), Datapath::Elem);
+            assert_eq!(choose_uniform(id, 256, None), Datapath::Elem);
         }
     }
 
@@ -257,7 +302,7 @@ mod tests {
         for id in PlatformId::ALL {
             // 4 KiB mean regions are far beyond every platform's
             // crossover.
-            assert_eq!(choose(id, 1 << 20, Some(256)), Datapath::Iov);
+            assert_eq!(choose_uniform(id, 1 << 20, Some(256)), Datapath::Iov);
         }
     }
 
@@ -265,9 +310,9 @@ mod tests {
     fn short_regions_and_capped_lists_go_pack() {
         for id in PlatformId::ALL {
             // 8-byte regions: descriptor cost dominates.
-            assert_eq!(choose(id, 1 << 20, Some(1 << 17)), Datapath::Pack);
+            assert_eq!(choose_uniform(id, 1 << 20, Some(1 << 17)), Datapath::Pack);
             // No bounded region list at all.
-            assert_eq!(choose(id, 1 << 20, None), Datapath::Pack);
+            assert_eq!(choose_uniform(id, 1 << 20, None), Datapath::Pack);
         }
     }
 
@@ -282,21 +327,7 @@ mod tests {
         assert_eq!(choose_shape(PlatformId::SkxImpi, bytes, Some(shape)), Datapath::Pack);
         // A uniform list of the same total and count (the mean-length
         // view of the same message) would take iovec.
-        assert_eq!(choose(PlatformId::SkxImpi, bytes, Some(706)), Datapath::Iov);
-    }
-
-    #[test]
-    fn uniform_shapes_match_legacy_choose() {
-        for id in PlatformId::ALL {
-            for bytes in [300u64, 1 << 12, 1 << 20] {
-                for n in [1u64, 64, 4096] {
-                    assert_eq!(
-                        choose(id, bytes, Some(n)),
-                        choose_shape(id, bytes, Some(RegionShape::uniform(n)))
-                    );
-                }
-            }
-        }
+        assert_eq!(choose_uniform(PlatformId::SkxImpi, bytes, Some(706)), Datapath::Iov);
     }
 
     #[test]
@@ -336,8 +367,8 @@ mod tests {
             for bytes in [300u64, 1 << 12, 1 << 20, 1 << 26] {
                 for n in [1u64, 64, 4096] {
                     assert_eq!(
-                        choose(id, bytes, Some(n)),
-                        choose(id, bytes, Some(n)),
+                        choose_uniform(id, bytes, Some(n)),
+                        choose_uniform(id, bytes, Some(n)),
                     );
                 }
             }

@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use nonctg_core::datatype::{Datatype, DatatypeError};
-use nonctg_core::{set_oracle_checks, CoreError, FaultStats, Universe};
+use nonctg_core::{set_oracle_checks, CoreError, EventKind, FaultStats, Universe};
 use nonctg_simnet::{FaultPlan, Platform};
 
 /// A quiet platform with a short deadlock timeout so any regression
@@ -17,28 +17,35 @@ fn short_timeout(seconds: f64) -> Platform {
     p.with_deadlock_timeout(seconds)
 }
 
+/// The event kinds of a trace, in order: the sender's decision record
+/// as it shows (each `Demote` and `Select` where the ladder took it).
+fn kinds(comm: &mut nonctg_core::Comm) -> Vec<EventKind> {
+    comm.take_trace().into_iter().map(|e| e.kind).collect()
+}
+
 /// Send `payload` from rank 0 to rank 1 under `plan` on `platform`;
-/// return (sender stats, receiver stats, received bytes).
+/// return (sender stats, receiver stats, received bytes, sender trace).
 fn send_once(
     platform: Platform,
     plan: FaultPlan,
     payload: Vec<u8>,
-) -> (FaultStats, FaultStats, Vec<u8>) {
+) -> (FaultStats, FaultStats, Vec<u8>, Vec<EventKind>) {
     let n = payload.len();
     let p = platform.with_fault_plan(plan);
     let mut results = Universe::run_supervised(p, 2, move |comm| {
         if comm.rank() == 0 {
+            comm.enable_trace();
             comm.send_bytes(&payload, 1, 0)?;
-            Ok((comm.fault_stats(), Vec::new()))
+            Ok((comm.fault_stats(), Vec::new(), kinds(comm)))
         } else {
             let mut buf = vec![0u8; n];
             comm.recv_bytes(&mut buf, Some(0), Some(0))?;
-            Ok((comm.fault_stats(), buf))
+            Ok((comm.fault_stats(), buf, Vec::new()))
         }
     });
-    let (rstats, buf) = results.pop().unwrap().unwrap();
-    let (sstats, _) = results.pop().unwrap().unwrap();
-    (sstats, rstats, buf)
+    let (rstats, buf, _) = results.pop().unwrap().unwrap();
+    let (sstats, _, trace) = results.pop().unwrap().unwrap();
+    (sstats, rstats, buf, trace)
 }
 
 fn pattern(n: usize) -> Vec<u8> {
@@ -46,14 +53,14 @@ fn pattern(n: usize) -> Vec<u8> {
 }
 
 /// Send one strided-vector message (packed size `count * 16` bytes) from
-/// rank 0 to rank 1; return (sender stats, source, received buffer).
-/// Only non-contiguous types take the pipelined (chunked) datapath, so
-/// the chunk-fault rungs must ride a derived type.
+/// rank 0 to rank 1; return (sender stats, source, received buffer,
+/// sender trace). Only non-contiguous types take the pipelined (chunked)
+/// datapath, so the chunk-fault rungs must ride a derived type.
 fn send_vector_once(
     platform: Platform,
     plan: FaultPlan,
     count: usize,
-) -> (FaultStats, Vec<u8>, Vec<u8>) {
+) -> (FaultStats, Vec<u8>, Vec<u8>, Vec<EventKind>) {
     let (blocklen, stride) = (16usize, 32i64);
     let src_len = (count - 1) * stride as usize + blocklen;
     let src = pattern(src_len);
@@ -62,17 +69,18 @@ fn send_vector_once(
     let src_for_run = src.clone();
     let mut results = Universe::run_supervised(p, 2, move |comm| {
         if comm.rank() == 0 {
+            comm.enable_trace();
             comm.send(&src_for_run, 0, &vtype, 1, 1, 0)?;
-            Ok((comm.fault_stats(), Vec::new()))
+            Ok((comm.fault_stats(), Vec::new(), kinds(comm)))
         } else {
             let mut buf = vec![0u8; src_len];
             comm.recv(&mut buf, 0, &vtype, 1, Some(0), Some(0))?;
-            Ok((comm.fault_stats(), buf))
+            Ok((comm.fault_stats(), buf, Vec::new()))
         }
     });
-    let (_, got) = results.pop().unwrap().unwrap();
-    let (sstats, _) = results.pop().unwrap().unwrap();
-    (sstats, src, got)
+    let (_, got, _) = results.pop().unwrap().unwrap();
+    let (sstats, _, trace) = results.pop().unwrap().unwrap();
+    (sstats, src, got, trace)
 }
 
 /// Assert every strided block of `got` matches `src`.
@@ -92,10 +100,11 @@ fn pool_exhaustion_falls_back_to_owned_buffers() {
     set_oracle_checks(true);
     let payload = pattern(1 << 20);
     let plan = FaultPlan::quiet(5).with_pool_exhaustion(1.0);
-    let (sstats, _, got) = send_once(short_timeout(5.0), plan, payload.clone());
+    let (sstats, _, got, trace) = send_once(short_timeout(5.0), plan, payload.clone());
     assert_eq!(got, payload, "payload corrupted by pool fallback");
     assert!(sstats.pool_exhaustions >= 1, "fallback not counted: {sstats:?}");
     assert!(sstats.demotions() >= 1, "demotions() must roll up pool faults");
+    assert_eq!(trace, [EventKind::Demote, EventKind::Send]);
 }
 
 /// Rung 2: a pack-plan compile failure on a derived type falls back to
@@ -112,17 +121,21 @@ fn plan_compile_failure_falls_back_to_uncompiled_pack() {
     let vt = vtype.clone();
     let results = Universe::run_supervised(p, 2, move |comm| {
         if comm.rank() == 0 {
+            comm.enable_trace();
             comm.send(&src_for_run, 0, &vt, 1, 1, 0)?;
-            Ok((comm.fault_stats(), Vec::new()))
+            Ok((comm.fault_stats(), Vec::new(), kinds(comm)))
         } else {
             let mut buf = vec![0u8; src_len];
             comm.recv(&mut buf, 0, &vt, 1, Some(0), Some(0))?;
-            Ok((comm.fault_stats(), buf))
+            Ok((comm.fault_stats(), buf, Vec::new()))
         }
     });
-    let (sstats, _) = results[0].as_ref().unwrap();
-    let (_, got) = results[1].as_ref().unwrap();
+    let (sstats, _, trace) = results[0].as_ref().unwrap();
+    let (_, got, _) = results[1].as_ref().unwrap();
     assert!(sstats.plan_fallbacks >= 1, "plan fallback not counted: {sstats:?}");
+    // The uncompiled fallback rules out streaming and iovec; the
+    // selector still runs (and picks pack) after the demotion.
+    assert_eq!(trace, &[EventKind::Demote, EventKind::Select, EventKind::Stage, EventKind::Send]);
     for b in 0..count {
         let at = b * stride as usize;
         assert_eq!(
@@ -145,10 +158,15 @@ fn chunk_faults_retry_and_quarantine() {
     let platform = short_timeout(5.0).with_pipeline(64 << 10, 16 << 10);
     let count = (128 << 10) / 16;
     let plan = FaultPlan::quiet(9).with_chunk_faults(0.25, 0.0);
-    let (sstats, src, got) = send_vector_once(platform, plan, count);
+    let (sstats, src, got, trace) = send_vector_once(platform, plan, count);
     assert_blocks_equal(&src, &got, count);
     assert!(sstats.chunk_retries >= 1, "no chunk retried at p=0.25: {sstats:?}");
     assert_eq!(sstats.pipeline_demotions, 0, "stream should not demote: {sstats:?}");
+    // No rung demotes: selected, staged, then 8 ring chunks.
+    let mut want = vec![EventKind::Select, EventKind::Stage];
+    want.extend([EventKind::Chunk; 8]);
+    want.push(EventKind::Send);
+    assert_eq!(trace, want);
 }
 
 /// Rung 3 on the direct gather: a contiguous receive makes both ranks
@@ -162,28 +180,33 @@ fn chunk_faults_retry_on_the_direct_gather() {
     let platform = short_timeout(5.0).with_pipeline(64 << 10, 16 << 10);
     let count = (128 << 10) / 16;
     let plan = FaultPlan::quiet(9).with_chunk_faults(0.25, 0.0);
-    let (ring, _, _) = send_vector_once(platform.clone(), plan.clone(), count);
+    let (ring, _, _, _) = send_vector_once(platform.clone(), plan.clone(), count);
     let (blocklen, stride) = (16usize, 32i64);
     let src = pattern((count - 1) * stride as usize + blocklen);
     let vtype = Datatype::vector(count, blocklen, stride, &Datatype::byte()).unwrap().commit();
     let src_for_run = src.clone();
     let mut results = Universe::run_supervised(platform.with_fault_plan(plan), 2, move |comm| {
         if comm.rank() == 0 {
+            comm.enable_trace();
             comm.send(&src_for_run, 0, &vtype, 1, 1, 0)?;
-            Ok((comm.fault_stats(), Vec::new()))
+            Ok((comm.fault_stats(), Vec::new(), kinds(comm)))
         } else {
             let mut buf = vec![0u8; count * blocklen];
             comm.recv_bytes(&mut buf, Some(0), Some(0))?;
-            Ok((comm.fault_stats(), buf))
+            Ok((comm.fault_stats(), buf, Vec::new()))
         }
     });
-    let (rstats, got) = results.pop().unwrap().unwrap();
-    let (sstats, _) = results.pop().unwrap().unwrap();
+    let (rstats, got, _) = results.pop().unwrap().unwrap();
+    let (sstats, _, trace) = results.pop().unwrap().unwrap();
     let packed: Vec<u8> = src.chunks(stride as usize).flat_map(|b| &b[..blocklen]).copied().collect();
     assert_eq!(got, packed, "direct gather delivered wrong bytes");
     assert!(sstats.chunk_retries >= 1, "no chunk retried at p=0.25: {sstats:?}");
     assert_eq!(sstats.chunk_retries, ring.chunk_retries, "direct and ring retries differ");
     assert_eq!(rstats.chunk_retries, 0, "retries belong to the sender: {rstats:?}");
+    // Which rank gathers a chunk is a race, so only the decisions around
+    // the `Chunk` markers are exact.
+    let decisions: Vec<_> = trace.into_iter().filter(|&k| k != EventKind::Chunk).collect();
+    assert_eq!(decisions, [EventKind::Select, EventKind::Stage, EventKind::Send]);
 }
 
 /// A streamed send whose receiver arrives only after the sender's
@@ -243,10 +266,85 @@ fn chunk_fault_storm_demotes_to_monolithic() {
     let platform = short_timeout(5.0).with_pipeline(64 << 10, 16 << 10);
     let count = (128 << 10) / 16;
     let plan = FaultPlan::quiet(4).with_chunk_faults(0.9, 0.9);
-    let (sstats, src, got) = send_vector_once(platform, plan, count);
+    let (sstats, src, got, trace) = send_vector_once(platform, plan, count);
     assert_blocks_equal(&src, &got, count);
     assert!(sstats.pipeline_demotions >= 1, "storm did not demote: {sstats:?}");
     assert_eq!(sstats.chunk_retries, 0, "demoted send must not stream chunks");
+    assert_eq!(trace, [EventKind::Demote, EventKind::Select, EventKind::Stage, EventKind::Send]);
+}
+
+/// Stacked rungs trace in decision order: the chunk forecast demotes the
+/// stream, the exhausted pool demotes staging, the selector picks iovec
+/// for the 4 KiB regions, and the pool rung then demotes iovec to pack.
+#[test]
+fn stacked_rungs_trace_in_decision_order() {
+    set_oracle_checks(true);
+    let (count, blocklen, stride) = (32usize, 4096usize, 8192i64);
+    let src_len = (count - 1) * stride as usize + blocklen;
+    let src = pattern(src_len);
+    let vtype = Datatype::vector(count, blocklen, stride, &Datatype::byte()).unwrap().commit();
+    let plan = FaultPlan::quiet(4).with_chunk_faults(0.9, 0.9).with_pool_exhaustion(1.0);
+    let p = short_timeout(5.0).with_pipeline(64 << 10, 16 << 10).with_fault_plan(plan);
+    let src_for_run = src.clone();
+    let mut results = Universe::run_supervised(p, 2, move |comm| {
+        if comm.rank() == 0 {
+            comm.enable_trace();
+            comm.send(&src_for_run, 0, &vtype, 1, 1, 0)?;
+            Ok((comm.fault_stats(), Vec::new(), kinds(comm)))
+        } else {
+            let mut buf = vec![0u8; src_len];
+            comm.recv(&mut buf, 0, &vtype, 1, Some(0), Some(0))?;
+            Ok((comm.fault_stats(), buf, Vec::new()))
+        }
+    });
+    let (_, got, _) = results.pop().unwrap().unwrap();
+    let (sstats, _, trace) = results.pop().unwrap().unwrap();
+    for b in 0..count {
+        let at = b * stride as usize;
+        assert_eq!(&got[at..at + blocklen], &src[at..at + blocklen], "block {b} corrupted");
+    }
+    assert_eq!(
+        (sstats.pipeline_demotions, sstats.pool_exhaustions, sstats.iovec_demotions),
+        (1, 1, 1),
+        "{sstats:?}"
+    );
+    assert_eq!(
+        trace,
+        [
+            EventKind::Demote,
+            EventKind::Demote,
+            EventKind::Select,
+            EventKind::Demote,
+            EventKind::Stage,
+            EventKind::Send,
+        ]
+    );
+}
+
+/// The last rung: a send whose every attempt fails surfaces `SendFailed`
+/// after the full backoff schedule, counted once and traced not at all.
+#[test]
+fn exhausted_retries_fail_typed_and_untraced() {
+    let plan = FaultPlan::quiet(3).with_persistent_failure(0, 64, 64);
+    let p = short_timeout(5.0).with_fault_plan(plan);
+    let results = Universe::run_supervised(p, 2, |comm| {
+        if comm.rank() == 0 {
+            comm.enable_trace();
+            let sent = comm.send_bytes(&[1u8; 64], 1, 0);
+            Ok(Some((sent, comm.fault_stats(), kinds(comm), comm.wtime())))
+        } else {
+            Ok(None)
+        }
+    });
+    let (sent, stats, trace, t) = results[0].as_ref().unwrap().clone().unwrap();
+    assert!(
+        matches!(sent, Err(CoreError::SendFailed { dst: 1, attempts: nonctg_core::MAX_SEND_ATTEMPTS })),
+        "{sent:?}"
+    );
+    assert_eq!(stats.failed_sends, 1, "{stats:?}");
+    assert_eq!(trace, []);
+    // 2 + 4 + 8 + 16 µs of backoff between the five attempts.
+    assert!((t - 30e-6).abs() < 1e-12, "backoff charged {t}");
 }
 
 /// An explicit `MPI_Pack` call rides the same ladder as the internal
@@ -338,6 +436,7 @@ fn link_degradation_charges_and_counts() {
             p = p.with_fault_plan(plan);
         }
         Universe::run_supervised(p, 2, |comm| {
+            comm.enable_trace();
             for step in 0..16 {
                 if comm.rank() == 0 {
                     comm.send_bytes(&[7u8; 256], 1, step)?;
@@ -349,7 +448,7 @@ fn link_degradation_charges_and_counts() {
                     comm.send_bytes(&[9u8; 256], 0, step)?;
                 }
             }
-            Ok((comm.fault_stats(), comm.wtime()))
+            Ok((comm.fault_stats(), comm.wtime(), kinds(comm)))
         })
         .into_iter()
         .map(|r| r.unwrap())
@@ -357,7 +456,7 @@ fn link_degradation_charges_and_counts() {
     };
     let clean = run(None);
     let degraded = run(Some(FaultPlan::quiet(2).with_link_degradation(0, 7, 8.0)));
-    let hits: u64 = degraded.iter().map(|(s, _)| s.link_degradations).sum();
+    let hits: u64 = degraded.iter().map(|(s, _, _)| s.link_degradations).sum();
     assert!(hits >= 1, "no op landed in the degradation window");
     assert!(
         degraded[0].1 > clean[0].1,
@@ -365,6 +464,9 @@ fn link_degradation_charges_and_counts() {
         degraded[0].1,
         clean[0].1
     );
+    // The surcharge is a charge, not a rung: it traces nothing.
+    assert_eq!(degraded[0].2, clean[0].2);
+    assert_eq!(&degraded[0].2[..2], [EventKind::Send, EventKind::Recv]);
 }
 
 /// The whole ladder is deterministic: identical chaos seeds produce

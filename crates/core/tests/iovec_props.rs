@@ -4,7 +4,7 @@
 //! chaos fault plans.
 
 use nonctg_core::datatype::Datatype;
-use nonctg_core::selector::{self, CrossoverTable};
+use nonctg_core::selector::{self, select, CrossoverTable, RegionShape, SendKind};
 use nonctg_core::datatype::DatatypeError;
 use nonctg_core::{CoreError, FaultStats, Universe};
 use nonctg_simnet::{Datapath, FaultPlan, Platform};
@@ -193,11 +193,32 @@ fn iovec_is_faster_for_long_regions() {
     assert!(iov < pack, "iovec not faster: iov={iov:e} pack={pack:e}");
 }
 
+/// The one selection policy: a forced engine wins outright, and the
+/// selector asks for the region shape only of an iovec-eligible send.
+#[test]
+fn select_asks_for_the_shape_only_when_eligible() {
+    let p = Platform::skx_impi();
+    let plain = SendKind::default();
+    let (big, eager) = (1 << 20, p.eager_threshold(false));
+    let long = || Some(RegionShape::uniform(16));
+    assert_eq!(select(&p, big, plain, long), Datapath::Iov);
+    for (bytes, kind) in [(eager, plain), (big, SendKind { buffered: true, ..plain })] {
+        let chosen = select(&p, bytes, kind, || panic!("shape of an ineligible send"));
+        assert_eq!(chosen, Datapath::Pack, "{bytes} {kind:?}");
+    }
+    // A synchronous send is a rendezvous even below the eager limit.
+    let sync = SendKind { synchronous: true, ..plain };
+    assert_eq!(select(&p, eager, sync, long), Datapath::Iov);
+    let forced = p.with_datapath(Datapath::Elem);
+    let chosen = select(&forced, big, plain, || panic!("shape of a forced send"));
+    assert_eq!(chosen, Datapath::Elem);
+}
+
 /// The selector's seeded crossovers are calibrated against the cost
 /// model: on every platform, a 900-region send (under the iovec cap, and
 /// rendezvous-sized everywhere) is timed through forced pack and forced
 /// iovec at region lengths straddling the seeded `iov_min_region_bytes`.
-/// `choose` must pick the measured winner wherever the engines differ by
+/// `choose_shape` must pick the measured winner wherever the engines differ by
 /// more than 10% (the crossover itself is a near-tie), and the measured
 /// crossover must stay within a factor of two of the seeded one; a cost
 /// model change that moves it further must re-seed the table.
@@ -226,8 +247,8 @@ fn seeded_crossover_tracks_the_cost_model() {
                 } else {
                     Datapath::Pack
                 };
-                let chosen =
-                    selector::choose(p.id, (REGIONS * region) as u64, Some(REGIONS as u64));
+                let shape = RegionShape::uniform(REGIONS as u64);
+                let chosen = selector::choose_shape(p.id, (REGIONS * region) as u64, Some(shape));
                 assert_eq!(
                     chosen, winner,
                     "{name}: selector picked {chosen:?} but {winner:?} wins at region={region} \

@@ -12,7 +12,7 @@
 //!    so forced-iovec is never faster than auto on such layouts.
 
 use nonctg_core::datatype::Datatype;
-use nonctg_core::{FaultStats, Universe};
+use nonctg_core::{EventKind, FaultStats, Universe};
 use nonctg_simnet::{Datapath, Platform};
 
 fn quiet() -> Platform {
@@ -51,22 +51,28 @@ fn skewed_blocks() -> (Datatype, Vec<u8>) {
 }
 
 /// One-way send 0 -> 1; returns (rank-1 buffer, rank-0 fault stats,
-/// max virtual time across ranks).
-fn one_way(platform: Platform, dtype: Datatype, src: Vec<u8>) -> (Vec<u8>, FaultStats, f64) {
+/// max virtual time across ranks, rank-0 trace event kinds).
+fn one_way(
+    platform: Platform,
+    dtype: Datatype,
+    src: Vec<u8>,
+) -> (Vec<u8>, FaultStats, f64, Vec<EventKind>) {
     let n = src.len();
     let mut results = Universe::run_supervised(platform, 2, move |comm| {
         if comm.rank() == 0 {
+            comm.enable_trace();
             comm.send(&src, 0, &dtype, 1, 1, 0)?;
-            Ok((Vec::new(), comm.fault_stats(), comm.wtime()))
+            let kinds = comm.take_trace().into_iter().map(|e| e.kind).collect();
+            Ok((Vec::new(), comm.fault_stats(), comm.wtime(), kinds))
         } else {
             let mut buf = vec![0u8; n];
             comm.recv(&mut buf, 0, &dtype, 1, Some(0), Some(0))?;
-            Ok((buf, comm.fault_stats(), comm.wtime()))
+            Ok((buf, comm.fault_stats(), comm.wtime(), Vec::new()))
         }
     });
-    let (r1, _, t1) = results.pop().unwrap().unwrap();
-    let (_, stats0, t0) = results.pop().unwrap().unwrap();
-    (r1, stats0, t0.max(t1))
+    let (r1, _, t1, _) = results.pop().unwrap().unwrap();
+    let (_, stats0, t0, trace) = results.pop().unwrap().unwrap();
+    (r1, stats0, t0.max(t1), trace)
 }
 
 /// Gather the payload bytes a receiver buffer should hold for a
@@ -88,23 +94,27 @@ fn forced_iov_demotes_past_region_cap() {
     let blocklen = 128usize; // cap * 128 B comfortably exceeds the eager limit
 
     let (t_at, src_at) = gapped_blocks(cap, blocklen);
-    let (r_at, stats_at, _) = one_way(quiet().with_datapath(Datapath::Iov), t_at, src_at.clone());
+    let (r_at, stats_at, _, trace_at) =
+        one_way(quiet().with_datapath(Datapath::Iov), t_at, src_at.clone());
     assert_eq!(
         stats_at.iovec_demotions, 0,
         "a plan at the cap must not demote: {stats_at:?}"
     );
+    // A forced engine skips the selector: no `Select`, no staging.
+    assert_eq!(trace_at, [EventKind::Send]);
     let blocks_at: Vec<(usize, i64)> =
         (0..cap).map(|i| (blocklen, (i * (blocklen + 1)) as i64)).collect();
     assert_blocks(&src_at, &r_at, &blocks_at);
 
     let (t_over, src_over) = gapped_blocks(cap + 1, blocklen);
-    let (r_iov, stats_over, _) =
+    let (r_iov, stats_over, _, trace_over) =
         one_way(quiet().with_datapath(Datapath::Iov), t_over.clone(), src_over.clone());
     assert!(
         stats_over.iovec_demotions >= 1,
         "cap+1 regions must demote the forced-iovec send: {stats_over:?}"
     );
-    let (r_pack, _, _) = one_way(quiet().with_datapath(Datapath::Pack), t_over, src_over);
+    assert_eq!(trace_over, [EventKind::Demote, EventKind::Stage, EventKind::Send]);
+    let (r_pack, _, _, _) = one_way(quiet().with_datapath(Datapath::Pack), t_over, src_over);
     assert_eq!(r_iov, r_pack, "demoted send must match the pack reference");
 }
 
@@ -115,7 +125,7 @@ fn selector_never_chooses_iovec_past_region_cap() {
     let cap = nonctg_core::iov_max_regions();
     let (t, src) = gapped_blocks(cap + 1, 128);
     let base = nonctg_core::selector_counters();
-    let (_, stats, _) = one_way(quiet(), t, src);
+    let (_, stats, _, _) = one_way(quiet(), t, src);
     let delta = nonctg_core::selector_counters().delta_since(&base);
     assert_eq!(delta.iov, 0, "selector chose iovec past the cap: {delta:?}");
     assert_eq!(
@@ -134,12 +144,12 @@ fn forced_iov_not_faster_than_auto_on_skewed_layout() {
     assert!(t.size() > 64 * 1024, "layout must exceed the eager limit");
 
     let base = nonctg_core::selector_counters();
-    let (auto_buf, _, auto_time) = one_way(quiet(), t.clone(), src.clone());
+    let (auto_buf, _, auto_time, _) = one_way(quiet(), t.clone(), src.clone());
     let delta = nonctg_core::selector_counters().delta_since(&base);
     assert_eq!(delta.iov, 0, "skewed layout must not select iovec: {delta:?}");
     assert!(delta.pack >= 1, "skewed layout should select pack: {delta:?}");
 
-    let (iov_buf, _, iov_time) = one_way(quiet().with_datapath(Datapath::Iov), t, src);
+    let (iov_buf, _, iov_time, _) = one_way(quiet().with_datapath(Datapath::Iov), t, src);
     assert_eq!(auto_buf, iov_buf, "datapaths disagree on payload bytes");
     assert!(
         iov_time >= auto_time,

@@ -286,6 +286,37 @@ fn bsend_roundtrip_and_buffer_accounting() {
     });
 }
 
+/// The attached-buffer size of a send whose packed size is near
+/// `usize::MAX` overflows into a typed error, not a panic or a wrap.
+#[test]
+fn bsend_size_overflow_is_typed() {
+    let err = nonctg_core::Comm::bsend_size(&Datatype::f64(), usize::MAX / 8).unwrap_err();
+    assert!(
+        matches!(err, CoreError::Datatype(nonctg_datatype::DatatypeError::Overflow)),
+        "{err:?}"
+    );
+}
+
+/// A short source on the uncompiled route (a forced element engine, or
+/// the selector's element choice for a tiny derived send) fails with the
+/// whole span the send reads, before anything is staged.
+#[test]
+fn short_source_on_the_element_route_reports_its_span() {
+    let forced = quiet().with_datapath(nonctg_simnet::Datapath::Elem);
+    for platform in [forced, quiet()] {
+        let errs = Universe::run(platform, 2, |comm| {
+            let t = Datatype::vector(4, 1, 2, &Datatype::f64()).unwrap().commit();
+            (comm.rank() == 0).then(|| comm.send(&[0u8; 32], 0, &t, 1, 1, 0).unwrap_err())
+        });
+        let span = nonctg_datatype::DatatypeError::OutOfBounds {
+            needed_from: 0,
+            needed_to: 56,
+            buffer_len: 32,
+        };
+        assert_eq!(errs[0], Some(CoreError::Datatype(span)));
+    }
+}
+
 #[test]
 fn double_attach_rejected() {
     Universe::run(quiet(), 1, |comm| {

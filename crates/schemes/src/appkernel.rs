@@ -17,7 +17,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use nonctg_core::selector::RegionShape;
+use nonctg_core::selector::{self, RegionShape, SendKind};
 use nonctg_core::Universe;
 use nonctg_datatype::{layouts, pack_into_uncompiled, plan_for, Datatype};
 use nonctg_simnet::{Access, Datapath, Platform};
@@ -175,22 +175,14 @@ impl KernelWorkload {
 }
 
 /// The datapath engine the runtime uses for this kernel's derived sends
-/// at this size: the forced engine when overridden, else the shape-aware
-/// selector's choice, mirroring runtime eligibility (eager messages and
-/// region lists past the iovec cap cannot take the zero-copy path).
+/// at this size, by the runtime's own policy (`selector::select`) over
+/// the shape of the kernel's bounded region list.
 pub fn kernel_selected_for(platform: &Platform, w: &KernelWorkload) -> Datapath {
-    match platform.effective_datapath() {
-        Datapath::Auto => {
-            let bytes = w.msg_bytes as u64;
-            let eager = bytes <= platform.eager_threshold(false);
-            let shape = (!eager)
-                .then(|| w.regions(nonctg_core::iov_max_regions()))
-                .flatten()
-                .map(|r| RegionShape::of(&r, platform.mem.cacheline));
-            nonctg_core::selector::choose_shape(platform.id, bytes, shape)
-        }
-        forced => forced,
-    }
+    let shape = || {
+        w.regions(nonctg_core::iov_max_regions())
+            .map(|r| RegionShape::of(&r, platform.mem.cacheline))
+    };
+    selector::select(platform, w.msg_bytes as u64, SendKind::default(), shape)
 }
 
 /// Sampled byte-payload verification (full compare for small payloads).

@@ -9,6 +9,7 @@
 use std::path::PathBuf;
 use std::str::FromStr;
 
+use nonctg_core::selector::{self, RegionShape, SendKind};
 use nonctg_core::FaultStats;
 use nonctg_simnet::{Datapath, Platform, PlatformId};
 
@@ -141,23 +142,14 @@ impl SweepPoint {
 }
 
 /// The engine the runtime's datapath machinery uses for a point of this
-/// workload: the platform's forced engine when overridden, else the
-/// adaptive selector's choice, mirroring the runtime's eligibility rules
-/// (eager messages and region lists past the iovec cap cannot take the
-/// zero-copy path). Pure in (platform, layout, size), so recorded
-/// selections are reproducible across runs, shards, and resumes.
+/// workload, by the runtime's own policy (`selector::select`) over the
+/// workload's region list: one uniform region per element, none past the
+/// iovec cap. Pure in (platform, layout, size), so recorded selections
+/// are reproducible across runs, shards, and resumes.
 fn selected_for(platform: &Platform, w: &Workload) -> Datapath {
-    match platform.effective_datapath() {
-        Datapath::Auto => {
-            let bytes = w.msg_bytes() as u64;
-            let eager = bytes <= platform.eager_threshold(false);
-            let n = w.elems();
-            let regions = (!eager && n <= nonctg_core::iov_max_regions())
-                .then_some(n as u64);
-            nonctg_core::selector::choose(platform.id, bytes, regions)
-        }
-        forced => forced,
-    }
+    let n = w.elems();
+    let shape = || (n <= nonctg_core::iov_max_regions()).then(|| RegionShape::uniform(n as u64));
+    selector::select(platform, w.msg_bytes() as u64, SendKind::default(), shape)
 }
 
 /// Cumulative fault-injection counters over every measurement a sweep

@@ -187,18 +187,12 @@ impl Platform {
 
     /// Sender-side software cost of posting an iovec (region-list) send:
     /// building one DMA descriptor per region is a fraction of a full
-    /// library call, paid on top of the usual protocol overhead.
-    pub fn iov_overhead(&self, nregions: u64) -> f64 {
-        self.iov_overhead_shaped(nregions, 0)
-    }
-
-    /// [`Self::iov_overhead`] with the region-length shape priced in:
-    /// `subline` of the `nregions` descriptors cover less than one cache
-    /// line. Sub-line regions fall off the NIC's batched descriptor fast
-    /// path (the doorbell coalescer only chains line-aligned gather
-    /// entries), so each costs a **full** per-call overhead instead of
-    /// the batched [`IOV_REGION_CALL_FRACTION`]. For `subline == 0` this
-    /// is exactly the legacy uniform charge.
+    /// library call, paid on top of the usual protocol overhead. `subline`
+    /// of the `nregions` descriptors cover less than one cache line.
+    /// Sub-line regions fall off the NIC's batched descriptor fast path
+    /// (the doorbell coalescer only chains line-aligned gather entries),
+    /// so each costs a **full** per-call overhead instead of the batched
+    /// [`IOV_REGION_CALL_FRACTION`].
     pub fn iov_overhead_shaped(&self, nregions: u64, subline: u64) -> f64 {
         let subline = subline.min(nregions);
         let batched = (nregions - subline) as f64 * IOV_REGION_CALL_FRACTION;
@@ -221,13 +215,7 @@ impl Platform {
     /// Receiver-side cost of scattering an iovec payload straight into
     /// the user regions: write-only placement (one traffic unit, not a
     /// copy's two) plus the same per-region descriptor bookkeeping as the
-    /// sender.
-    pub fn iov_scatter_time(&self, bytes: u64, nregions: u64, warm: bool) -> f64 {
-        self.iov_scatter_time_shaped(bytes, nregions, 0, warm)
-    }
-
-    /// [`Self::iov_scatter_time`] with the region-length shape priced in:
-    /// like [`Self::iov_overhead_shaped`], each of the `subline`
+    /// sender. Like [`Self::iov_overhead_shaped`], each of the `subline`
     /// under-one-cacheline regions pays a full per-call overhead for its
     /// scatter descriptor instead of the batched fraction.
     pub fn iov_scatter_time_shaped(
@@ -453,7 +441,7 @@ mod tests {
         let nregions = bytes / (64 << 10);
         let access = Access::Strided { blocklen: 64 << 10, stride: 128 << 10 };
         let pack = p.gather_time(bytes, &access, false) + p.wire_time(bytes, 1.0);
-        let iov = p.iov_overhead(nregions) + p.iov_wire_time(bytes, nregions);
+        let iov = p.iov_overhead_shaped(nregions, 0) + p.iov_wire_time(bytes, nregions);
         assert!(iov < 0.7 * pack, "iovec {iov} not clearly under pack {pack}");
     }
 
@@ -466,7 +454,7 @@ mod tests {
         let nregions = bytes / 8;
         let access = Access::Strided { blocklen: 8, stride: 16 };
         let pack = p.gather_time(bytes, &access, false) + p.wire_time(bytes, 1.0);
-        let iov = p.iov_overhead(nregions) + p.iov_wire_time(bytes, nregions);
+        let iov = p.iov_overhead_shaped(nregions, 0) + p.iov_wire_time(bytes, nregions);
         assert!(iov > 2.0 * pack, "iovec {iov} should lose to pack {pack} at 8B regions");
     }
 
@@ -477,7 +465,7 @@ mod tests {
         let nregions = bytes / (64 << 10);
         let access = Access::Strided { blocklen: 64 << 10, stride: 128 << 10 };
         let unpack = p.scatter_time(bytes, &access, false);
-        let direct = p.iov_scatter_time(bytes, nregions, false);
+        let direct = p.iov_scatter_time_shaped(bytes, nregions, 0, false);
         assert!(direct < unpack, "direct scatter {direct} >= unpack {unpack}");
     }
 
@@ -485,26 +473,21 @@ mod tests {
     fn iov_zero_bytes_cost_nothing() {
         let p = skx();
         assert_eq!(p.iov_wire_time(0, 0), 0.0);
-        assert_eq!(p.iov_scatter_time(0, 0, true), 0.0);
-        assert_eq!(p.iov_overhead(0), 0.0);
+        assert_eq!(p.iov_scatter_time_shaped(0, 0, 0, true), 0.0);
+        assert_eq!(p.iov_overhead_shaped(0, 0), 0.0);
     }
 
     #[test]
     fn subline_regions_pay_full_descriptor_cost() {
         let p = skx();
         let n = 1000u64;
-        // All regions at or over a line: shaped == legacy, bit for bit.
-        assert_eq!(p.iov_overhead_shaped(n, 0), p.iov_overhead(n));
-        assert_eq!(
-            p.iov_scatter_time_shaped(1 << 20, n, 0, false),
-            p.iov_scatter_time(1 << 20, n, false)
-        );
+        let batched = p.iov_overhead_shaped(n, 0);
         // Every sub-line region costs 4x its batched descriptor price.
         let full = p.iov_overhead_shaped(n, n);
-        assert!((full - 4.0 * p.iov_overhead(n)).abs() <= 1e-18, "{full}");
+        assert!((full - 4.0 * batched).abs() <= 1e-18, "{full}");
         // Mixed lists sit strictly between.
         let mixed = p.iov_overhead_shaped(n, n / 2);
-        assert!(p.iov_overhead(n) < mixed && mixed < full);
+        assert!(batched < mixed && mixed < full);
         // A subline count above n clamps instead of underflowing.
         assert_eq!(p.iov_overhead_shaped(4, 9), p.iov_overhead_shaped(4, 4));
     }
