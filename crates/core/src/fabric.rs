@@ -242,17 +242,15 @@ pub(crate) enum Payload {
         /// The sender's source view, shared for a direct gather.
         offer: Offer,
     },
-    /// Zero-copy iovec rendezvous: the payload bytes travel in region
-    /// order (exactly what a pack would produce) together with the
-    /// sender-side `(offset, len)` region list, and the receiver scatters
-    /// them straight into its own regions without an unpack pass. The
-    /// virtual-time charges differ (per-region DMA costs instead of a
-    /// staging gather); the bytes delivered are identical to a pack.
+    /// Iovec rendezvous: the sender gathered its regions into a pool
+    /// buffer in region order (exactly what a pack would produce), and
+    /// the receiver scatters them straight into its own regions without
+    /// an unpack pass. The virtual-time charges differ (per-region DMA
+    /// costs instead of a staging gather); the bytes delivered are
+    /// identical to a pack.
     Iovec {
         /// Region-ordered payload bytes (same bytes a pack would stage).
         data: PooledBuf,
-        /// Sender-side region list, for audits and diagnostics.
-        regions: Arc<[(i64, u64)]>,
     },
 }
 

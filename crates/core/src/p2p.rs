@@ -144,22 +144,22 @@ impl Drop for BsendReleaseGuard {
 }
 
 /// Check that every byte `count` instances of `dtype` touch from byte
-/// `origin` lies inside `buf` — the span check the pack engine runs
-/// before it touches a buffer, with the same error. Every send runs it
-/// before deciding anything, so a short source fails before any staging
-/// and never inside the receiver's share of a direct gather; the iovec
-/// receive runs it before its scatter writes anything.
-fn check_source_span(buf: &[u8], origin: usize, dtype: &Datatype, count: usize) -> Result<()> {
+/// `origin` lies inside a `len`-byte buffer — the span check the pack
+/// engine runs before it touches a buffer, with the same error. Every
+/// send and every receive runs it before anything else: a short source
+/// fails before any staging, and a short destination fails before
+/// matching, so the message stays queued for a corrected receive.
+fn check_span(len: usize, origin: usize, dtype: &Datatype, count: usize) -> Result<()> {
     let o = origin as i128;
     let from = o + dtype.true_lb() as i128;
     let to = o
         + dtype.true_ub() as i128
         + (count as i128 - 1) * (dtype.ub() as i128 - dtype.lb() as i128);
-    if from < 0 || to > buf.len() as i128 {
+    if from < 0 || to > len as i128 {
         return Err(dt::DatatypeError::OutOfBounds {
             needed_from: from.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
             needed_to: to.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
-            buffer_len: buf.len(),
+            buffer_len: len,
         }
         .into());
     }
@@ -180,8 +180,9 @@ enum Route {
     Uncompiled,
     /// A large derived rendezvous streamed in chunks of this plan.
     Stream(Arc<PackPlan>),
-    /// Zero-copy: the NIC gathers these `(offset, len)` regions.
-    Iov(Vec<(i64, u64)>),
+    /// Iovec: charged as a NIC gather of these `(offset, len)` regions
+    /// of this shape; the bytes still stage through a pool buffer.
+    Iov(Vec<(i64, u64)>, RegionShape),
 }
 
 /// Every choice one send makes, taken by [`decide_send`] before anything
@@ -315,39 +316,153 @@ fn decide_send(
         let shape = bounded.map(|r| RegionShape::of(r, p.mem.cacheline));
         let choice = selector::select(p, bytes, kind, || shape);
         d.selected = (p.effective_datapath() == Datapath::Auto).then_some(choice);
-        match (choice, regions) {
-            (Datapath::Iov, Some(Some(regions))) if !d.pool_fault => d.route = Route::Iov(regions),
+        match (choice, regions, shape) {
+            (Datapath::Iov, Some(Some(regions)), Some(shape)) if !d.pool_fault => {
+                d.route = Route::Iov(regions, shape)
+            }
             // Iovec rung: without its staging pool, or past the region
             // cap, an iovec choice demotes to pack, counted and traced.
             // (Eager and plan-failure sends never were iovec-eligible and
             // stay silent; the latter already counts `plan_fallbacks`.)
-            (Datapath::Iov, Some(_)) => d.faults.iovec_demotions = 1,
+            (Datapath::Iov, Some(_), _) => d.faults.iovec_demotions = 1,
             // The uncompiled engine: no plan, no streaming.
-            (Datapath::Elem, _) => d.route = Route::Uncompiled,
+            (Datapath::Elem, _, _) => d.route = Route::Uncompiled,
             _ => {}
         }
     }
     d
 }
 
-/// Where a receive of `incoming_count` instances of `dtype` at byte
-/// `origin` puts a `total`-byte payload when its plan is one dense run of
-/// exactly `total` bytes inside a `buf_len`-byte buffer: the run's first
-/// byte. `None` (a derived receive, a partial trailing instance, or a
-/// run outside the buffer) keeps the chunk ring.
-fn dense_destination(
+/// How a matched receive moves its payload into the user buffer: the
+/// receive twin of [`Route`] (mpicd's `UnpackMethod`).
+enum Mover {
+    /// The unpack engine: a whole payload, or an iovec payload whose
+    /// receive layout has no bounded region list.
+    Unpack,
+    /// The receive plan is one dense run, starting at this buffer byte,
+    /// of exactly the streamed payload: both ranks gather it straight
+    /// from the sender's buffer.
+    Direct(usize),
+    /// Any other streamed payload: unpack chunks from the ring in place.
+    Ring,
+    /// Scatter an iovec payload straight into the receiver's own
+    /// `(offset, len)` regions.
+    Scatter(Vec<(i64, u64)>),
+}
+
+/// The virtual-time charge of placing a payload that is not one
+/// contiguous run (a contiguous receive is the NIC's direct deposit and
+/// costs nothing extra).
+enum ScatterCharge {
+    /// A direct iovec scatter: exact per-region charges, no jitter — the
+    /// iovec clock is a pure function of the region list's shape.
+    Shaped(RegionShape),
+    /// The unpack engine: the jittered scatter model of the type.
+    Modeled,
+}
+
+/// Every choice one matched receive makes, taken by [`decide_recv`] and
+/// applied by `Comm::recv` in one place.
+struct RecvDecision {
+    /// Virtual time the transfer completes.
+    done: f64,
+    /// Whole instances of the receive type the payload fills.
+    incoming: usize,
+    mover: Mover,
+    scatter: Option<ScatterCharge>,
+}
+
+/// Decide how a matched receive completes: the truncation and signature
+/// checks, the completion time per protocol, the mover and its scatter
+/// charge. Pure: it reads the envelope and the receive type's plan, never
+/// the clock, a counter, the tracer or the buffer. The caller has checked
+/// the posted span, so every mover stays inside the buffer.
+fn decide_recv(
+    p: &Platform,
+    t_post: f64,
+    env: &Envelope,
     dtype: &Datatype,
-    incoming_count: usize,
+    count: usize,
     origin: usize,
-    buf_len: usize,
-    total: usize,
-) -> Option<usize> {
-    let regions = dt::plan_for(dtype, incoming_count)?.regions(1)?;
-    let &[(off, len)] = regions.as_slice() else {
-        return None;
+) -> Result<RecvDecision> {
+    let total = env.payload.len();
+    let capacity = dt::pack_size(dtype, count)?;
+    if total > capacity {
+        return Err(CoreError::Truncate { incoming: total, capacity });
+    }
+    // Signature check: MPI_PACKED/MPI_BYTE match anything of the right
+    // size; otherwise the primitive multisets must agree.
+    let recv_sig = dtype.signature().scaled(count as u64)?;
+    let relaxed = env.sig.is_bytes_only() || recv_sig.is_bytes_only();
+    if relaxed {
+        if env.sig.total_bytes() > recv_sig.total_bytes() {
+            return Err(CoreError::Truncate { incoming: total, capacity });
+        }
+    } else {
+        // Allow a shorter matching prefix: count how many whole send
+        // elements arrived; exact multiset match required at equal size.
+        if total == capacity && !env.sig.matches(1, &recv_sig, 1) {
+            return Err(CoreError::SignatureMismatch);
+        }
+        // Partial receive: only the byte check applies (MPI permits
+        // receiving fewer elements than posted).
+        if total < capacity && env.sig.total_bytes() > recv_sig.total_bytes() {
+            return Err(CoreError::SignatureMismatch);
+        }
+    }
+
+    let done = match &env.protocol {
+        Protocol::Eager { avail } => *avail,
+        Protocol::Rendezvous { sender_ready, wire, .. }
+        | Protocol::AsyncRendezvous { sender_ready, wire } => {
+            t_post.max(*sender_ready) + p.proto.rndv_extra + p.net.latency + *wire
+        }
     };
-    let lo = usize::try_from(i64::try_from(origin).ok()?.checked_add(off)?).ok()?;
-    (len as usize == total && lo.checked_add(total)? <= buf_len).then_some(lo)
+    let incoming = if dtype.size() == 0 { 0 } else { total / dtype.size() as usize };
+    let mover = match &env.payload {
+        Payload::Whole(_) => Mover::Unpack,
+        Payload::Chunked { .. } => {
+            let run = dt::plan_for(dtype, incoming).and_then(|pl| pl.regions(1));
+            match run.as_deref() {
+                Some(&[(off, len)]) if len as usize == total => {
+                    Mover::Direct((origin as i64 + off) as usize)
+                }
+                _ => Mover::Ring,
+            }
+        }
+        // The receiver's own plan over its own type (the sender's regions
+        // only describe the sender's layout); without a bounded region
+        // list, the unpack engine. The payload bytes are pack-ordered
+        // either way.
+        Payload::Iovec { .. } => dt::plan_for(dtype, incoming)
+            .and_then(|pl| pl.regions(selector::iov_max_regions()))
+            .map_or(Mover::Unpack, Mover::Scatter),
+    };
+    let scatter = if dtype.is_contiguous_run(incoming as u64) {
+        None
+    } else if let Mover::Scatter(regions) = &mover {
+        Some(ScatterCharge::Shaped(RegionShape::of(regions, p.mem.cacheline)))
+    } else {
+        Some(ScatterCharge::Modeled)
+    };
+    Ok(RecvDecision { done, incoming, mover, scatter })
+}
+
+/// Scatter pack-ordered `data` into the `(offset, len)` regions of `buf`
+/// from byte `origin`, stopping when the data runs out; returns the bytes
+/// placed. The caller has checked the span the regions cover.
+fn scatter(data: &[u8], regions: &[(i64, u64)], buf: &mut [u8], origin: usize) -> usize {
+    let mut pos = 0usize;
+    for &(off, len) in regions {
+        if pos >= data.len() {
+            break;
+        }
+        let len = (len as usize).min(data.len() - pos);
+        let lo = (origin as i64 + off) as usize;
+        buf[lo..lo + len].copy_from_slice(&data[pos..pos + len]);
+        pos += len;
+    }
+    pos
 }
 
 impl Comm {
@@ -466,18 +581,18 @@ impl Comm {
         // Every route reads the whole span, so a short source fails here:
         // before staging anything, consuming a fault op or counting.
         if bytes > 0 {
-            check_source_span(buf, origin, dtype, count)?;
+            check_span(buf.len(), origin, dtype, count)?;
         }
         let access = Access::classify(dtype);
         let warm = self.is_warm();
-        let p = self.platform().clone();
+        let fabric = Arc::clone(self.fabric());
+        let (p, sup) = (&fabric.platform, &fabric.supervision);
 
         let me = self.rank();
-        let sup = Arc::clone(&self.fabric().supervision);
         sup.record_op(me, OpRecord { kind: "send", peer: Some(dst), bytes: bytes as usize });
         let op = sup.next_op(me);
 
-        let d = decide_send(&p, me, op, dtype, count, bytes, &access, &mode);
+        let d = decide_send(p, me, op, dtype, count, bytes, &access, &mode);
         // Fault charges are exact (no jitter draws), so the virtual clock
         // is identical whichever route runs.
         let mut backoff = SEND_BACKOFF_BASE_S;
@@ -512,12 +627,14 @@ impl Comm {
         let sig = dtype.signature().scaled(count as u64)?;
 
         match d.route {
-            Route::Iov(regions) => {
-                return self.iovec_send(buf, origin, regions, bytes, &p, dst, tag, sig, d.corrupt_idx)
+            Route::Iov(regions, shape) => {
+                return self.iovec_send(
+                    buf, origin, &regions, shape, bytes, p, dst, tag, sig, d.corrupt_idx,
+                )
             }
             Route::Stream(plan) => {
                 return self.stream_send(
-                    buf, origin, &plan, bytes, &access, warm, &p, dst, tag, sig, d.corrupt_idx,
+                    buf, origin, &plan, bytes, &access, warm, p, dst, tag, sig, d.corrupt_idx,
                     op, d.pool_fault,
                 )
             }
@@ -532,7 +649,7 @@ impl Comm {
         let mut packed = if d.pool_fault {
             PooledBuf::detached(vec![0u8; bytes as usize])
         } else {
-            self.fabric().pool.take(bytes as usize)
+            fabric.pool.take(bytes as usize)
         };
         if matches!(d.route, Route::Uncompiled) {
             dt::pack_into_uncompiled(buf, origin, dtype, count, &mut packed)?;
@@ -885,21 +1002,21 @@ impl Comm {
         }
     }
 
-    /// Zero-copy iovec rendezvous: no staging gather is charged — the
-    /// sender pays a per-region descriptor cost and the NIC DMA-gathers
-    /// the user regions on the wire (`iov_wire_time`). The payload bytes
-    /// still move for real (in region order, exactly what a pack would
-    /// produce) so the receiver can verify every byte; only the
-    /// virtual-time charges differ from the pack path. Per-region
-    /// charges are exact (no jitter draws) so the iovec clock is a pure
-    /// function of the region list. The caller has checked the source
-    /// span.
+    /// Iovec rendezvous: no staging gather is charged — the sender pays a
+    /// per-region descriptor cost and the modelled NIC DMA-gathers the
+    /// user regions on the wire (`iov_wire_time`). In wall-clock the bytes
+    /// take two copies: gathered here into a pool buffer in region order
+    /// (exactly what a pack would produce), then scattered by the
+    /// receiver. Per-region charges are exact (no jitter draws) so the
+    /// iovec clock is a pure function of the region list's `shape`. The
+    /// caller has checked the source span.
     #[allow(clippy::too_many_arguments)]
     fn iovec_send(
         &mut self,
         buf: &[u8],
         origin: usize,
-        regions: Vec<(i64, u64)>,
+        regions: &[(i64, u64)],
+        shape: RegionShape,
         bytes: u64,
         p: &Platform,
         dst: usize,
@@ -907,25 +1024,27 @@ impl Comm {
         sig: nonctg_datatype::Signature,
         corrupt_idx: Option<usize>,
     ) -> Result<Completion> {
-        let n = regions.len() as u64;
-        let shape = crate::selector::RegionShape::of(&regions, p.mem.cacheline);
         self.charge_exact(p.send_overhead(false));
-        self.charge_exact(p.iov_overhead_shaped(n, shape.subline));
+        self.charge_exact(p.iov_overhead_shaped(shape.n, shape.subline));
         self.cache = CacheState::Warm;
-        let wire = p.iov_wire_time(bytes, n) * self.jitter.factor();
+        let wire = p.iov_wire_time(bytes, shape.n) * self.jitter.factor();
 
         // The simulated NIC's DMA gather: region bytes move in region
         // order, which is byte-for-byte the pack order of the plan the
         // regions came from.
         let mut data = self.fabric().pool.take(bytes as usize);
         let mut pos = 0usize;
-        for &(off, len) in &regions {
+        for &(off, len) in regions {
             let lo = (origin as i64 + off) as usize;
             let len = len as usize;
             data[pos..pos + len].copy_from_slice(&buf[lo..lo + len]);
             pos += len;
         }
-        debug_assert_eq!(pos, bytes as usize);
+        if crate::invariants::oracle_checks_enabled() && pos != bytes as usize {
+            crate::invariants::violation(&format!(
+                "iovec region lengths sum to {pos} but payload is {bytes} bytes"
+            ));
+        }
         if let Some(idx) = corrupt_idx {
             data[idx] ^= 0xFF;
             data.poison();
@@ -933,7 +1052,7 @@ impl Comm {
 
         let (tx, rx) = reply_channel();
         let proto = Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: tx };
-        self.post(dst, tag, Payload::Iovec { data, regions: regions.into() }, sig, proto, None);
+        self.post(dst, tag, Payload::Iovec { data }, sig, proto, None);
         Ok(Completion::Pending(rx))
     }
 
@@ -992,6 +1111,10 @@ impl Comm {
 
     /// Receive `count` instances of `dtype` into `buf` at byte `origin`
     /// (`MPI_Recv`). `src`/`tag` of `None` are the wildcards.
+    ///
+    /// Validate, match, decide ([`decide_recv`]), apply, execute: a bad
+    /// buffer fails before matching and leaves the message queued, while
+    /// a truncation or signature error consumes it, as in MPI.
     pub fn recv(
         &mut self,
         buf: &mut [u8],
@@ -1007,10 +1130,13 @@ impl Comm {
             self.check_rank(s)?;
         }
         let capacity = dt::pack_size(dtype, count)?;
-        let p = self.platform().clone();
+        if capacity > 0 {
+            check_span(buf.len(), origin, dtype, count)?;
+        }
+        let fabric = Arc::clone(self.fabric());
+        let (p, sup) = (&fabric.platform, &fabric.supervision);
 
         let me = self.rank();
-        let sup = Arc::clone(&self.fabric().supervision);
         sup.record_op(me, OpRecord { kind: "recv", peer: src, bytes: capacity });
         let op = sup.next_op(me);
         if let Some(plan) = &p.fault {
@@ -1024,7 +1150,7 @@ impl Comm {
                 // `PeerFailed` instead of hanging on the ring.
                 sup.with_faults(me, |s| s.recv_crashes += 1);
                 sup.poison(me);
-                return Err(self.fabric().enrich(CoreError::RankPanicked {
+                return Err(fabric.enrich(CoreError::RankPanicked {
                     rank: me,
                     message: format!("fault plan: injected receiver crash at op {op}"),
                 }));
@@ -1032,197 +1158,60 @@ impl Comm {
         }
 
         sup.set_blocked(me, Some("a matching message"));
-        let res = self.fabric().mailboxes[me].match_recv(src, tag);
+        let res = fabric.mailboxes[me].match_recv(src, tag);
         sup.set_blocked(me, None);
-        let mut env = res.map_err(|e| self.fabric().enrich(e))?;
+        let mut env = res.map_err(|e| fabric.enrich(e))?;
         let _bsend_release = BsendReleaseGuard(env.bsend_release.take());
+        let d = decide_recv(p, t_post, &env, dtype, count, origin)?;
 
-        if env.payload.len() > capacity {
-            return Err(CoreError::Truncate { incoming: env.payload.len(), capacity });
+        // The transfer completes (a rendezvous sender unblocks then too),
+        // and the receive pays its overhead.
+        if let Protocol::Rendezvous { reply, .. } = &env.protocol {
+            let _ = reply.send(d.done);
         }
-        // Signature check: MPI_PACKED/MPI_BYTE match anything of the right
-        // size; otherwise the primitive multisets must agree.
-        let recv_sig = dtype.signature().scaled(count as u64)?;
-        let relaxed = env.sig.is_bytes_only() || recv_sig.is_bytes_only();
-        if relaxed {
-            if env.sig.total_bytes() > recv_sig.total_bytes() {
-                return Err(CoreError::Truncate {
-                    incoming: env.payload.len(),
-                    capacity,
-                });
-            }
-        } else {
-            // Allow a shorter matching prefix: count how many whole send
-            // elements arrived; exact multiset match required at equal size.
-            if env.payload.len() == capacity && !env.sig.matches(1, &recv_sig, 1) {
-                return Err(CoreError::SignatureMismatch);
-            }
-            if env.payload.len() < capacity {
-                // Partial receive: only the byte check applies (MPI permits
-                // receiving fewer elements than posted).
-                let ok = env.sig.total_bytes() <= recv_sig.total_bytes();
-                if !ok {
-                    return Err(CoreError::SignatureMismatch);
-                }
-            }
-        }
-
-        // Timing.
-        match &env.protocol {
-            Protocol::Eager { avail } => {
-                self.clock.sync_to(*avail);
-            }
-            Protocol::Rendezvous { sender_ready, wire, reply } => {
-                let start = t_post.max(*sender_ready) + p.proto.rndv_extra;
-                let done = start + p.net.latency + *wire;
-                // Sender unblocks when the transfer completes.
-                let _ = reply.send(done);
-                self.clock.sync_to(done);
-            }
-            Protocol::AsyncRendezvous { sender_ready, wire } => {
-                let start = t_post.max(*sender_ready) + p.proto.rndv_extra;
-                self.clock.sync_to(start + p.net.latency + *wire);
-            }
-        }
+        self.clock.sync_to(d.done);
         self.charge_exact(p.proto.eager_overhead);
 
-        // Real delivery: unpack the payload into the user layout. Derived
-        // receive types pay the scatter; contiguous receives are the NIC's
-        // direct deposit and cost nothing extra.
-        let total = env.payload.len();
-        let env_src = env.src;
-        let env_tag = env.tag;
-        let incoming_count = if dtype.size() == 0 {
-            0
-        } else {
-            total / dtype.size() as usize
+        // Real delivery into the user layout.
+        let (total, n, env_src, env_tag) = (env.payload.len(), d.incoming, env.src, env.tag);
+        let consumed = match (d.mover, env.payload) {
+            (Mover::Unpack, Payload::Whole(data) | Payload::Iovec { data }) => {
+                dt::unpack_from(&data, dtype, n, buf, origin)?
+            }
+            (Mover::Direct(lo), Payload::Chunked { offer, .. }) => {
+                let side =
+                    offer.direct(&mut buf[lo..lo + total], me).map_err(|e| fabric.enrich(e))?;
+                self.gather_direct(|| side.gather_next(), env_src, env_tag);
+                side.finish().map_err(|e| fabric.enrich(e))?;
+                total
+            }
+            (Mover::Ring, Payload::Chunked { rx, audit, offer, .. }) => {
+                offer.ring().map_err(|e| fabric.enrich(e))?;
+                self.drain_chunks(rx, audit, total, dtype, n, buf, origin, env_src, env_tag)?
+            }
+            (Mover::Scatter(regions), Payload::Iovec { data }) => {
+                scatter(&data, &regions, buf, origin)
+            }
+            _ => unreachable!("decide_recv picks a mover for the payload it saw"),
         };
-        // `Some(shape)` once the payload was delivered by a direct iovec
-        // scatter into the receiver's regions; governs the scatter charge
-        // below (sub-cacheline regions pay the full descriptor cost).
-        let mut iov_scattered: Option<crate::selector::RegionShape> = None;
-        match env.payload {
-            Payload::Whole(data) => {
-                let consumed = dt::unpack_from(&data, dtype, incoming_count, buf, origin)?;
-                crate::invariants::check_recv_conservation(
-                    total,
-                    consumed,
-                    dtype.size() as usize,
-                );
-            }
-            Payload::Chunked { rx, audit, offer, .. } => {
-                match dense_destination(dtype, incoming_count, origin, buf.len(), total) {
-                    Some(lo) => {
-                        // One dense run holds the whole payload: gather it
-                        // straight from the sender's buffer, on both ranks.
-                        let side = offer
-                            .direct(&mut buf[lo..lo + total], me)
-                            .map_err(|e| self.fabric().enrich(e))?;
-                        self.gather_direct(|| side.gather_next(), env_src, env_tag);
-                        side.finish().map_err(|e| self.fabric().enrich(e))?;
-                        crate::invariants::check_recv_conservation(
-                            total,
-                            total,
-                            dtype.size() as usize,
-                        );
-                    }
-                    None => {
-                        offer.ring().map_err(|e| self.fabric().enrich(e))?;
-                        self.drain_chunks(
-                            rx, audit, total, dtype, incoming_count, buf, origin, env_src,
-                            env_tag,
-                        )?;
-                    }
-                }
-            }
-            Payload::Iovec { data, regions } => {
-                if crate::invariants::oracle_checks_enabled() {
-                    let sum: u64 = regions.iter().map(|&(_, l)| l).sum();
-                    if sum as usize != data.len() {
-                        crate::invariants::violation(&format!(
-                            "iovec region lengths sum to {sum} but payload is {} bytes",
-                            data.len()
-                        ));
-                    }
-                }
-                // Scatter straight into the *receiver's* regions (its own
-                // plan over its own type — the sender's list only
-                // describes the sender's layout). When the receive layout
-                // has no bounded region list, fall back to the unpack
-                // engine; the payload bytes are pack-ordered either way.
-                let rregions = dt::plan_for(dtype, incoming_count)
-                    .and_then(|pl| pl.regions(crate::selector::iov_max_regions()));
-                match rregions {
-                    Some(rr) => {
-                        if incoming_count > 0 {
-                            check_source_span(buf, origin, dtype, incoming_count)?;
-                        }
-                        let mut pos = 0usize;
-                        for &(off, len) in &rr {
-                            if pos >= data.len() {
-                                break;
-                            }
-                            let len = (len as usize).min(data.len() - pos);
-                            let lo = (origin as i64 + off) as usize;
-                            buf[lo..lo + len].copy_from_slice(&data[pos..pos + len]);
-                            pos += len;
-                        }
-                        crate::invariants::check_recv_conservation(
-                            total,
-                            pos,
-                            dtype.size() as usize,
-                        );
-                        iov_scattered =
-                            Some(crate::selector::RegionShape::of(&rr, p.mem.cacheline));
-                    }
-                    None => {
-                        let consumed =
-                            dt::unpack_from(&data, dtype, incoming_count, buf, origin)?;
-                        crate::invariants::check_recv_conservation(
-                            total,
-                            consumed,
-                            dtype.size() as usize,
-                        );
-                    }
-                }
-            }
-        }
-        if !dtype.is_contiguous_run(incoming_count as u64) {
+        crate::invariants::check_recv_conservation(total, consumed, dtype.size() as usize);
+
+        // Charged after delivery: the chunk markers above keep their times.
+        if let Some(scatter) = d.scatter {
             let t_scatter = self.clock.now();
-            match iov_scattered {
-                Some(shape) => {
-                    // Direct placement: exact per-region charges, no
-                    // jitter — the iovec clock is a pure function of the
-                    // region list.
-                    self.charge_exact(p.iov_scatter_time_shaped(
-                        total as u64,
-                        shape.n,
-                        shape.subline,
-                        self.is_warm(),
-                    ));
-                }
-                None => {
-                    let access = Access::classify(dtype);
-                    self.charge(p.scatter_time(total as u64, &access, self.is_warm()));
+            let warm = self.is_warm();
+            match scatter {
+                ScatterCharge::Shaped(shape) => self.charge_exact(
+                    p.iov_scatter_time_shaped(total as u64, shape.n, shape.subline, warm),
+                ),
+                ScatterCharge::Modeled => {
+                    self.charge(p.scatter_time(total as u64, &Access::classify(dtype), warm));
                 }
             }
-            self.trace(
-                crate::trace::EventKind::Unstage,
-                t_scatter,
-                Some(env_src),
-                total,
-                Some(env_tag),
-            );
+            self.trace(EventKind::Unstage, t_scatter, Some(env_src), total, Some(env_tag));
         }
         self.cache = CacheState::Warm;
-
-        self.trace(
-            crate::trace::EventKind::Recv,
-            t_post,
-            Some(env_src),
-            total,
-            Some(env_tag),
-        );
+        self.trace(EventKind::Recv, t_post, Some(env_src), total, Some(env_tag));
         Ok(RecvStatus { source: env_src, tag: env_tag, bytes: total })
     }
 
@@ -1232,6 +1221,7 @@ impl Comm {
     /// for the receive plan; bytes past the whole instances the posted
     /// receive consumes are drained and dropped, exactly like the
     /// monolithic unpack. Purely wall-clock: no virtual charges here.
+    /// Returns the packed bytes deposited into `buf`.
     #[allow(clippy::too_many_arguments)]
     fn drain_chunks(
         &mut self,
@@ -1244,7 +1234,7 @@ impl Comm {
         origin: usize,
         src: usize,
         tag: i32,
-    ) -> Result<()> {
+    ) -> Result<usize> {
         let plan = dt::plan_for(dtype, incoming_count);
         // Bytes the posted receive actually delivers into `buf`.
         let fit = plan.as_ref().map(|pl| pl.packed_len()).unwrap_or(0);
@@ -1363,23 +1353,21 @@ impl Comm {
         sup.set_blocked(me, None);
         out.map_err(|e| self.fabric().enrich(e))?;
         if plan.is_none() {
-            let consumed = dt::unpack_from(&carry, dtype, incoming_count, buf, origin)?;
-            crate::invariants::check_recv_conservation(total, consumed, dtype.size() as usize);
+            pos = dt::unpack_from(&carry, dtype, incoming_count, buf, origin)?;
         } else {
             debug_assert!(carry.is_empty() && pos == fit.min(total));
-            if crate::invariants::oracle_checks_enabled() {
-                if !carry.is_empty() || pos != fit.min(total) {
-                    crate::invariants::violation(
-                        "chunk drain left a partial instance stranded in the carry buffer",
-                    );
-                }
-                crate::invariants::check_recv_conservation(total, pos, dtype.size() as usize);
+            if crate::invariants::oracle_checks_enabled()
+                && (!carry.is_empty() || pos != fit.min(total))
+            {
+                crate::invariants::violation(
+                    "chunk drain left a partial instance stranded in the carry buffer",
+                );
             }
         }
         if let Some(a) = &audit {
             a.finish();
         }
-        Ok(())
+        Ok(pos)
     }
 
     /// Receive into a contiguous byte buffer.

@@ -103,8 +103,8 @@ impl Window {
     /// (completing all puts/gets) and opens a new one. Collective.
     pub fn fence(&mut self, comm: &mut Comm) -> Result<()> {
         let t0 = comm.wtime();
-        let p = comm.platform().clone();
-        let sup = Arc::clone(&comm.fabric().supervision);
+        let fabric = Arc::clone(comm.fabric());
+        let (p, sup) = (&fabric.platform, &fabric.supervision);
         let me = comm.rank();
         sup.set_blocked(me, Some("fence participants"));
         let rounds = (|| -> Result<f64> {
@@ -154,7 +154,8 @@ impl Window {
         comm.check_rank(target)?;
         dtype.require_committed()?;
         let bytes = dt::pack_size(dtype, count)?;
-        let p = comm.platform().clone();
+        let fabric = Arc::clone(comm.fabric());
+        let p = &fabric.platform;
         let access = Access::classify(dtype);
         let warm = comm.is_warm();
 
@@ -226,7 +227,8 @@ impl Window {
         comm.check_rank(target)?;
         dtype.require_committed()?;
         let bytes = dt::pack_size(dtype, count)?;
-        let p = comm.platform().clone();
+        let fabric = Arc::clone(comm.fabric());
+        let p = &fabric.platform;
         let access = Access::classify(dtype);
 
         let packed = {

@@ -308,6 +308,9 @@ fn iovec_bad_buffers_fail_like_pack() {
             } else {
                 let mut buf = vec![0xAAu8; len];
                 let err = comm.recv(&mut buf, 0, &rtype, 1, Some(0), Some(0)).err();
+                // The rejected receive left the message queued: take it,
+                // or the sender's rendezvous never completes.
+                comm.recv(&mut vec![0u8; span], 0, &t, 1, Some(0), Some(0))?;
                 Ok(Some((err, buf)))
             }
         });

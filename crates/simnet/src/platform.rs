@@ -85,7 +85,8 @@ fn env_pipeline() -> PipelineSpec {
 pub enum Datapath {
     /// Gather into a packed staging buffer through the compiled plan.
     Pack,
-    /// Zero-copy iovec: ship the region list, scatter at the receiver.
+    /// Iovec: charged as a NIC gather of the region list (no staging
+    /// gather); the receiver scatters into its own regions.
     Iov,
     /// Naive per-segment element copies (no compiled plan).
     Elem,
