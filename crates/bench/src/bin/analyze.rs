@@ -6,23 +6,22 @@
 //! (`vector(n, 1, 2, f64)`), rank 1 receives it with twice the
 //! blocklength (`vector(n / 2, 2, 3, f64)`) and answers with an empty
 //! pong. The run is forced through the staged (pack) datapath with a
-//! small chunk size, so the streamed rendezvous drains a long chunk ring.
-//! (A dense receive would skip the ring: both ranks gather the send
-//! straight into its buffer.) The chunk size is one `f64` past 128 KiB,
-//! so chunk cuts straddle the receiver's 16-byte blocks and the carry
-//! buffer runs too. Then the analyzer:
+//! small chunk size, so each transfer streams: rank 1 answers with a
+//! staging buffer, both ranks gather chunks into it (one `chunk` marker
+//! per chunk, on the rank that gathered it), and rank 1 unpacks it. Then
+//! the analyzer:
 //!
 //! 1. computes the virtual-time **critical path** through the traced
 //!    event DAG and *asserts* its edge sum is bit-equal to the run's
 //!    traced elapsed time (the edges tile the run exactly — any gap or
 //!    overlap is a bug in the tracer or the analyzer);
-//! 2. computes the **pipeline report** for the receiver — overlap
-//!    efficiency from chunk-ring occupancy (chunk virtual timestamps
-//!    within a transfer are degenerate by design, so occupancy is the
-//!    only honest signal), ring-stall time, bubble time (asserted to
-//!    partition the receiver's elapsed window exactly), and carry-buffer
-//!    dead time priced at the measured memcpy roofline;
-//! 3. writes `analysis.json`, `gantt.svg`, and `gantt.txt`, and prints
+//! 2. *asserts* that the `chunk` markers of both ranks cover every chunk
+//!    index of every transfer exactly once, and that each transfer's
+//!    markers sum to the payload;
+//! 3. computes the **pipeline report** for the receiver — stall time and
+//!    bubble time (asserted to partition the receiver's elapsed window
+//!    exactly);
+//! 4. writes `analysis.json`, `gantt.svg`, and `gantt.txt`, and prints
 //!    the ASCII gantt.
 //!
 //! Exits non-zero if any invariant fails.
@@ -32,16 +31,16 @@
 use std::fs;
 use std::path::PathBuf;
 
-use nonctg_bench::{events_to_spans, memcpy_reference, OBS_ELEMS};
+use nonctg_bench::{events_to_spans, OBS_ELEMS};
 use nonctg_core::datatype::{as_bytes, as_bytes_mut, Datatype};
 use nonctg_core::{TraceEvent, Universe};
 use nonctg_report::analysis::{critical_path, gantt_ascii, gantt_svg, pipeline_report};
+use nonctg_report::Span;
 use nonctg_simnet::Platform;
 
 /// Chunk size forced for this run: about 128 KiB over the 4 MiB packed
-/// payload yields a ~32-chunk stream, long enough that the ring-depth
-/// occupancy statistic is meaningful. The extra 8 bytes put odd cuts off
-/// the receiver's 16-byte block grid.
+/// payload yields a 32-chunk stream, long enough that both ranks gather.
+/// The extra 8 bytes put odd cuts off the receiver's 16-byte block grid.
 const CHUNK_BYTES: &str = "131080";
 /// Streaming threshold forced well below the payload.
 const THRESHOLD_BYTES: &str = "1048576";
@@ -110,36 +109,39 @@ fn main() {
         println!("    {phase:>8}: {secs:.3e} s");
     }
 
-    // -- pipeline report ----------------------------------------------
-    let copy_bw = memcpy_reference(4 << 20, 0.1);
-    let receiver = 1;
-    let report = pipeline_report(
-        &spans,
-        &path,
-        receiver,
-        nonctg_core::CHUNK_RING_DEPTH as u32,
-        Some(copy_bw),
-    )
-    .expect("receiver drained no chunks — the ring did not engage");
+    // -- chunk coverage -----------------------------------------------
+    let payload = OBS_ELEMS / 2 * 8;
+    let chunk = platform.effective_pipeline().chunk_bytes as usize;
+    let every_index: Vec<u32> = (0..payload.div_ceil(chunk) as u32).collect();
+    let transfers = chunk_transfers(&spans, payload);
+    let per_rank: Vec<usize> = (0..2)
+        .map(|r| spans.iter().filter(|s| s.track == r && s.name == "chunk").count())
+        .collect();
     println!(
-        "  pipeline: {} chunks, mean ring depth {:.3}, overlap efficiency {:.3}, \
-         primed {:.1}%, receiver on path {:.3e} s, ring stall {:.3e} s, bubbles {:.3e} s, \
-         carry {} B ({:.3e} s dead at {:.2} GB/s memcpy)",
-        report.chunks,
-        report.mean_depth,
-        report.overlap_efficiency,
-        100.0 * report.primed_fraction,
-        report.critical_on_receiver_s,
-        report.ring_stall_s,
-        report.bubble_s,
-        report.carry_bytes,
-        report.carry_dead_s.unwrap_or(0.0),
-        copy_bw / 1e9
+        "  chunks: {} transfers of {} B in {} chunks; rank 0 gathered {}, rank 1 {}",
+        transfers.len(),
+        payload,
+        every_index.len(),
+        per_rank[0],
+        per_rank[1]
     );
-    check(report.overlap_efficiency > 0.0, "overlap efficiency > 0 (ring actually primed)");
+    check(transfers.len() == REPS, "one group of chunk markers per transfer");
     check(
-        report.overlap_efficiency < 1.0,
-        "overlap efficiency < 1 (final drain always lands at depth 1)",
+        transfers.iter().all(|(seqs, _)| *seqs == every_index),
+        "both ranks' chunk markers cover every chunk index of every transfer exactly once",
+    );
+    check(
+        transfers.iter().all(|&(_, bytes)| bytes == payload),
+        "each transfer's chunk markers sum to the payload",
+    );
+
+    // -- pipeline report ----------------------------------------------
+    let receiver = 1;
+    let report = pipeline_report(&spans, &path, receiver)
+        .expect("no chunk markers — the stream did not engage");
+    println!(
+        "  pipeline: {} chunks, receiver on path {:.3e} s, stall {:.3e} s, bubbles {:.3e} s",
+        report.chunks, report.critical_on_receiver_s, report.stall_s, report.bubble_s,
     );
     check(report.tiling_exact, "clipped critical path tiles the receiver window bit-exactly");
     check(
@@ -151,10 +153,16 @@ fn main() {
 
     // -- artifacts ----------------------------------------------------
     fs::create_dir_all(&out_dir).expect("create analysis output dir");
+    let seqs: Vec<String> = transfers
+        .iter()
+        .map(|(seqs, bytes)| format!("{{\"seqs\": {seqs:?}, \"bytes\": {bytes}}}"))
+        .collect();
     let json = format!(
-        "{{\n\"critical_path\": {},\n\"pipeline\": {}\n}}\n",
+        "{{\n\"critical_path\": {},\n\"pipeline\": {},\n\"chunks\": {{\"payload_bytes\": {payload}, \
+         \"chunk_bytes\": {chunk}, \"transfers\": [{}]}}\n}}\n",
         path.to_json().trim_end(),
-        report.to_json()
+        report.to_json(),
+        seqs.join(", ")
     );
     fs::write(out_dir.join("analysis.json"), json).expect("write analysis.json");
     fs::write(out_dir.join("gantt.svg"), gantt_svg(&spans, &path, &names)).expect("write gantt.svg");
@@ -167,6 +175,32 @@ fn main() {
         eprintln!("{failures} invariant(s) failed");
         std::process::exit(1);
     }
+}
+
+/// Each streamed transfer's chunk markers, both ranks merged: the sorted
+/// chunk indices and the bytes they carry. A rank traces a transfer's
+/// markers before the `payload`-byte send or receive that carries them,
+/// so on each track that span closes the transfer.
+fn chunk_transfers(spans: &[Span], payload: usize) -> Vec<(Vec<u32>, usize)> {
+    let mut transfers: Vec<(Vec<u32>, usize)> = Vec::new();
+    for track in 0..2 {
+        let mut i = 0;
+        for s in spans.iter().filter(|s| s.track == track) {
+            if s.name == "chunk" {
+                if transfers.len() <= i {
+                    transfers.resize_with(i + 1, Default::default);
+                }
+                transfers[i].0.extend(s.seq);
+                transfers[i].1 += s.bytes;
+            } else if matches!(s.name.as_str(), "send" | "recv") && s.bytes == payload {
+                i += 1;
+            }
+        }
+    }
+    for (seqs, _) in &mut transfers {
+        seqs.sort_unstable();
+    }
+    transfers
 }
 
 /// Run the traced derived → derived ping-pong; each rank's events.

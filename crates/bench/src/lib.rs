@@ -367,7 +367,6 @@ pub fn events_to_spans(events: &[Vec<TraceEvent>]) -> Vec<Span> {
                 peer: e.peer,
                 tag: e.tag.map(i64::from),
                 seq: e.seq,
-                depth: e.depth,
             });
         }
     }

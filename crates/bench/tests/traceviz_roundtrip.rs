@@ -3,8 +3,8 @@
 //! workspace's JSON reader (`nonctg_schemes::parse_json`). The
 //! assertions pin what downstream viewers rely on: one `X` record per
 //! trace event, `thread_name` metadata for every rank, non-negative
-//! durations with timestamps monotone per track, and the `seq`/`depth`
-//! pipeline annotations surviving verbatim.
+//! durations with timestamps monotone per track, and the `seq` chunk
+//! annotations surviving verbatim.
 
 use nonctg_bench::events_to_spans;
 use nonctg_core::{EventKind, FaultStats, TraceEvent};
@@ -20,25 +20,19 @@ fn ev(kind: EventKind, t_start: f64, t_end: f64, bytes: usize) -> TraceEvent {
         bytes,
         tag: Some(17),
         seq: None,
-        depth: None,
     }
 }
 
-/// Two ranks of a one-rep staged ping: pack + send on rank 0 with two
-/// zero-width chunk posts, recv + unpack on rank 1 with two drains.
+/// Two ranks of a one-rep streamed ping: pack + send on rank 0, recv +
+/// unpack on rank 1, and the four zero-width chunk markers of one gather
+/// split between them (each chunk index on exactly one rank).
 fn synthetic_run() -> ObservedRun {
-    let mut tx0 = ev(EventKind::Chunk, 1.0, 1.0, 512);
-    tx0.seq = Some(0);
-    tx0.depth = Some(1);
-    let mut tx1 = ev(EventKind::Chunk, 1.0, 1.0, 512);
-    tx1.seq = Some(1);
-    tx1.depth = Some(2);
-    let mut rx0 = tx0;
-    rx0.peer = Some(0);
-    rx0.depth = Some(2);
-    let mut rx1 = tx1;
-    rx1.peer = Some(0);
-    rx1.depth = Some(1);
+    let chunk = |seq: u32, peer: usize| TraceEvent {
+        seq: Some(seq),
+        peer: Some(peer),
+        ..ev(EventKind::Chunk, 1.0, 1.0, 256)
+    };
+    let (tx0, tx1, rx0, rx1) = (chunk(0, 1), chunk(2, 1), chunk(1, 0), chunk(3, 0));
 
     let rank0 = vec![
         ev(EventKind::Pack, 0.0, 1.0, 1024),
@@ -125,13 +119,13 @@ fn export_round_trips_counts_tracks_and_timestamps() {
 }
 
 #[test]
-fn seq_and_depth_survive_the_round_trip() {
+fn chunk_seq_survives_the_round_trip() {
     let run = synthetic_run();
     let spans = events_to_spans(&run.events);
     let json = chrome_trace_json(&spans, "roundtrip", &[]);
     let doc = parse_json(&json).expect("export parses as JSON");
 
-    let chunk_args: Vec<(f64, f64, f64)> = complete_events(&doc)
+    let chunk_args: Vec<(f64, f64)> = complete_events(&doc)
         .iter()
         .filter(|e| e.get("name").and_then(Value::as_str) == Some("chunk"))
         .map(|e| {
@@ -139,21 +133,15 @@ fn seq_and_depth_survive_the_round_trip() {
             (
                 e.get("tid").and_then(Value::as_f64).unwrap(),
                 args.get("seq").and_then(Value::as_f64).unwrap(),
-                args.get("depth").and_then(Value::as_f64).unwrap(),
             )
         })
         .collect();
-    // Sender posts at depths 1 then 2; receiver drains at 2 then 1.
-    assert_eq!(
-        chunk_args,
-        vec![(0.0, 0.0, 1.0), (0.0, 1.0, 2.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0)]
-    );
+    assert_eq!(chunk_args, vec![(0.0, 0.0), (0.0, 2.0), (1.0, 1.0), (1.0, 3.0)]);
 
-    // Non-pipelined events must not grow the annotations.
+    // Unstreamed events must not grow the annotation.
     for e in complete_events(&doc) {
         if e.get("name").and_then(Value::as_str) != Some("chunk") {
-            let args = e.get("args").unwrap();
-            assert!(args.get("seq").is_none() && args.get("depth").is_none());
+            assert!(e.get("args").unwrap().get("seq").is_none());
         }
     }
 }

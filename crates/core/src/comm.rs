@@ -254,14 +254,12 @@ impl Comm {
         bytes: usize,
         tag: Option<i32>,
     ) {
-        self.trace_stream(kind, t_start, peer, bytes, tag, None, None);
+        self.trace_stream(kind, t_start, peer, bytes, tag, None);
     }
 
-    /// [`Comm::trace`] with stream position metadata: the chunk sequence
-    /// number and ring occupancy of a pipelined transfer (see
-    /// [`TraceEvent::seq`] / [`TraceEvent::depth`]).
+    /// [`Comm::trace`] with the chunk index of a streamed transfer (see
+    /// [`TraceEvent::seq`]).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn trace_stream(
         &mut self,
         kind: EventKind,
@@ -270,11 +268,10 @@ impl Comm {
         bytes: usize,
         tag: Option<i32>,
         seq: Option<u32>,
-        depth: Option<u32>,
     ) {
         if self.tracer.enabled() {
             let t_end = self.clock.now();
-            self.tracer.record(TraceEvent { kind, t_start, t_end, peer, bytes, tag, seq, depth });
+            self.tracer.record(TraceEvent { kind, t_start, t_end, peer, bytes, tag, seq });
         }
         if let Some(m) = &mut self.metrics {
             m.record(kind, self.clock.now() - t_start, bytes);

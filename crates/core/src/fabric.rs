@@ -19,7 +19,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{CoreError, Result};
 use crate::handoff::Offer;
-use crate::invariants::{AliasRegistry, ClockLedger, StreamAudit};
+use crate::invariants::{AliasRegistry, ClockLedger};
 use crate::rma::WindowState;
 
 /// Longest slice a fabric wait sleeps before re-checking the poison flag.
@@ -218,30 +218,17 @@ impl std::fmt::Debug for PooledBuf {
     }
 }
 
-/// Packed payload of a message: fully materialized, or streamed as a
-/// sequence of chunk buffers the sender is still producing.
+/// Packed payload of a message: fully materialized, or streamed by a
+/// gather the receiver runs alongside the sender.
 #[derive(Debug)]
 pub(crate) enum Payload {
     /// The whole packed message.
     Whole(PooledBuf),
-    /// Streamed rendezvous of `total` bytes. The receiver answers the
-    /// sender's `offer` first: a dense receive gathers alongside the
-    /// sender straight into its buffer (no ring); any other receive
-    /// drains `rx` until it has `total` bytes. Chunk boundaries are
-    /// pack-plan block aligned on the sender, but receivers must not rely
-    /// on that.
-    Chunked {
-        /// Total packed bytes across all chunks.
-        total: usize,
-        /// Chunk buffers, in message order; the channel's bound is the
-        /// ring depth that throttles the sender.
-        rx: Receiver<PooledBuf>,
-        /// Oracle-mode audit shared with the sender's pump (chunk order
-        /// and byte-conservation checks); `None` when checks are off.
-        audit: Option<Arc<StreamAudit>>,
-        /// The sender's source view, shared for a direct gather.
-        offer: Offer,
-    },
+    /// Streamed rendezvous: the sender's source view, offered for a
+    /// gather. The receiver answers with a buffer of exactly the payload
+    /// (its own dense run, or a staging buffer it then unpacks) and both
+    /// ranks gather chunks straight into it; see `handoff`.
+    Chunked(Offer),
     /// Iovec rendezvous: the sender gathered its regions into a pool
     /// buffer in region order (exactly what a pack would produce), and
     /// the receiver scatters them straight into its own regions without
@@ -259,7 +246,7 @@ impl Payload {
     pub fn len(&self) -> usize {
         match self {
             Payload::Whole(b) => b.len(),
-            Payload::Chunked { total, .. } => *total,
+            Payload::Chunked(offer) => offer.total(),
             Payload::Iovec { data, .. } => data.len(),
         }
     }

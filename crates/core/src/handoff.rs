@@ -1,18 +1,16 @@
-//! The shared handoff of one streamed rendezvous, and the single-copy
-//! gather it enables.
+//! The shared handoff of one streamed rendezvous, and the gather it
+//! enables.
 //!
 //! A blocking derived send at or above the pipeline threshold posts its
 //! source view here, together with its envelope. The receiver answers
-//! once, under the handoff's lock:
-//!
-//! * **ring** — its receive type is derived, so the sender packs chunks
-//!   into the bounded chunk ring and the receiver unpacks them (the
-//!   receiver never touches the sender's buffer);
-//! * **direct** — its receive plan is one dense run holding every payload
-//!   byte inside its buffer. Both ranks then take chunk indices `k` from
-//!   one atomic cursor, and each gathers `[cut(k), cut(k+1))` with
-//!   `PackPlan::pack_range_into` from the sender's buffer straight into
-//!   the receiver's: one copy, on two cores.
+//! once, under the handoff's lock, with a destination that holds exactly
+//! the payload: its own buffer when the receive plan is one dense run,
+//! otherwise a staging buffer it unpacks afterwards. Both ranks then take
+//! chunk indices `k` from one atomic cursor, and each gathers
+//! `[cut(k), cut(k+1))` with `PackPlan::pack_range_into` from the
+//! sender's buffer straight into that destination, on two cores. A
+//! receive that fails after matching drops the offer unanswered, which
+//! declines it: the sender gathers nothing.
 //!
 //! If the sender's deadline or the poison flag fires while the post is
 //! still unanswered, the sender revokes it under the same lock. A
@@ -44,8 +42,8 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use crate::error::{CoreError, Result};
 use crate::fabric::{poll_slice, spin_round, Supervision, SPIN_ROUNDS};
 
-/// The fault injection a gathered chunk applies — the same decisions the
-/// ring pump takes, keyed on the sender's rank and operation.
+/// The fault injection a gathered chunk applies, keyed on the sender's
+/// rank and operation.
 pub(crate) struct ChunkFaults {
     /// The sender's fault plan, if any.
     pub plan: Option<FaultPlan>,
@@ -65,8 +63,8 @@ struct Src {
     len: usize,
 }
 
-/// Start of the receiver's dense destination, which holds exactly the
-/// payload's bytes.
+/// Start of the receiver's destination, which holds exactly the payload's
+/// bytes.
 #[derive(Clone, Copy)]
 struct Dst {
     ptr: *mut u8,
@@ -84,21 +82,12 @@ unsafe impl Sync for Dst {}
 enum Mode {
     /// Posted, not yet matched.
     Posted,
-    /// The receiver drains the chunk ring.
-    Ring,
-    /// Both ranks gather into the receiver's dense buffer.
+    /// Both ranks gather into the receiver's destination.
     Direct(Dst),
+    /// The receive failed after matching and dropped the offer.
+    Declined,
     /// The sender gave up before a receiver answered.
     Revoked,
-}
-
-/// What the receiver answered, as the sender sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Choice {
-    /// Pump the chunk ring.
-    Ring,
-    /// Gather alongside the receiver.
-    Direct,
 }
 
 /// One chunk a rank gathered: its index and byte length.
@@ -250,7 +239,7 @@ impl Handoff {
         let f = &self.faults;
         if let Some(fp) = &f.plan {
             // A faulted chunk is corrupted in place and gathered again:
-            // wall-clock work only, exactly like the ring's re-pack.
+            // wall-clock work only, the virtual clock is untouched.
             let cf = fp.chunk_decision(f.rank, f.op, k);
             if cf.is_faulty() {
                 if cf.corrupt {
@@ -346,7 +335,7 @@ impl Drop for Claim<'_> {
 }
 
 /// The sender's end. Dropping it revokes an unanswered post, and joins a
-/// direct gather.
+/// gather.
 pub(crate) struct SendSide<'a> {
     h: Arc<Handoff>,
     dst: Option<Dst>,
@@ -354,19 +343,21 @@ pub(crate) struct SendSide<'a> {
 }
 
 impl SendSide<'_> {
-    /// Wait (spin, then park) for the receiver's answer. When `deadline`
-    /// passes or the fabric is poisoned first, revoke the post and fail.
-    pub(crate) fn await_choice(&mut self, deadline: Instant) -> Result<Choice> {
+    /// Wait (spin, then park) for the receiver's answer: a destination to
+    /// gather into, or a decline, after which there is nothing to gather.
+    /// When `deadline` passes or the fabric is poisoned first, revoke the
+    /// post and fail.
+    pub(crate) fn await_answer(&mut self, deadline: Instant) -> Result<()> {
         let h = &self.h;
         let mut spins = SPIN_ROUNDS;
         let mut mode = h.mode.lock();
         loop {
             match *mode {
                 Mode::Posted => {}
-                Mode::Ring => return Ok(Choice::Ring),
+                Mode::Declined => return Ok(()),
                 Mode::Direct(d) => {
                     self.dst = Some(d);
-                    return Ok(Choice::Direct);
+                    return Ok(());
                 }
                 Mode::Revoked => return Err(CoreError::deadlock("a matching receive")),
             }
@@ -391,7 +382,7 @@ impl SendSide<'_> {
         }
     }
 
-    /// Claim and gather the next chunk of a direct transfer.
+    /// Claim and gather the next chunk; `None` at once if declined.
     pub(crate) fn gather_next(&self) -> Option<Gathered> {
         self.h.gather_next(self.dst?, self.h.faults.rank)
     }
@@ -414,14 +405,14 @@ impl Drop for SendSide<'_> {
                 drop(mode);
                 let _ = self.h.join(self.h.faults.rank);
             }
-            Mode::Ring | Mode::Revoked => {}
+            Mode::Declined | Mode::Revoked => {}
         }
     }
 }
 
 /// The receiver's end, carried by the envelope. Dropping it unanswered
-/// answers "ring": the sender then finds the ring abandoned, exactly as
-/// when a receive fails after matching.
+/// declines it: the sender gathers nothing and learns the receive's
+/// outcome from the rendezvous reply, which never comes.
 pub(crate) struct Offer(Arc<Handoff>);
 
 impl std::fmt::Debug for Offer {
@@ -445,13 +436,19 @@ impl Offer {
         Ok(())
     }
 
-    /// Answer "ring": the sender pumps chunks, the receiver drains them.
-    pub(crate) fn ring(self) -> Result<()> {
-        self.answer(Mode::Ring)
+    /// Packed bytes of the streamed payload.
+    pub(crate) fn total(&self) -> usize {
+        self.0.total
     }
 
-    /// Answer "direct": both ranks gather into `dst`, which must hold
-    /// exactly the payload. `rank` is the receiver's world rank.
+    /// Whether the send's corruption fault flips a payload byte in the
+    /// destination.
+    pub(crate) fn corrupts(&self) -> bool {
+        self.0.faults.corrupt_idx.is_some()
+    }
+
+    /// Answer with `dst`, which must hold exactly the payload: both ranks
+    /// gather into it. `rank` is the receiver's world rank.
     pub(crate) fn direct(self, dst: &mut [u8], rank: usize) -> Result<RecvSide<'_>> {
         if dst.len() != self.0.total {
             return Err(CoreError::Truncate {
@@ -476,13 +473,13 @@ impl Drop for Offer {
     fn drop(&mut self) {
         let mut mode = self.0.mode.lock();
         if matches!(*mode, Mode::Posted) {
-            *mode = Mode::Ring;
+            *mode = Mode::Declined;
             self.0.cond.notify_all();
         }
     }
 }
 
-/// The receiver's end of a direct gather. Dropping it joins the gather.
+/// The receiver's end of a gather. Dropping it joins the gather.
 pub(crate) struct RecvSide<'b> {
     h: Arc<Handoff>,
     dst: Dst,
@@ -545,8 +542,8 @@ mod tests {
         let (sent, got) = std::thread::scope(|s| {
             let t = s.spawn(|| {
                 assert_eq!(
-                    send.await_choice(Instant::now() + Duration::from_secs(5)),
-                    Ok(Choice::Direct)
+                    send.await_answer(Instant::now() + Duration::from_secs(5)),
+                    Ok(())
                 );
                 let mut seqs = Vec::new();
                 while let Some(g) = send.gather_next() {
@@ -601,8 +598,8 @@ mod tests {
             drop(recv);
             let t = s.spawn(move || {
                 assert_eq!(
-                    send.await_choice(Instant::now() + Duration::from_secs(5)),
-                    Ok(Choice::Direct)
+                    send.await_answer(Instant::now() + Duration::from_secs(5)),
+                    Ok(())
                 );
                 assert_eq!(send.gather_next(), None);
                 send.finish()
@@ -619,7 +616,7 @@ mod tests {
         let mut dst = vec![0u8; 8];
         let (mut send, offer) = post(&src, 0, every_other(8), 4, faults(None), sup());
         assert!(matches!(
-            send.await_choice(Instant::now()),
+            send.await_answer(Instant::now()),
             Err(CoreError::Deadlock {
                 waiting_for: "a matching receive",
                 ..
@@ -633,14 +630,46 @@ mod tests {
         assert_eq!(dst, vec![0u8; 8]);
     }
 
+    /// The staged case: a derived receive answers with an owned buffer
+    /// of exactly the payload, gathers alongside the sender, then unpacks
+    /// the buffer through its own plan.
     #[test]
-    fn dropped_offer_answers_ring() {
+    fn staged_gather_unpacks_into_a_derived_layout() {
+        let n = 48;
+        let src: Vec<u8> = (0..2 * n as u32).map(|i| i as u8).collect();
+        let (mut send, offer) = post(&src, 0, every_other(n), 5, faults(None), sup());
+        let mut staging = vec![0u8; offer.total()];
+        std::thread::scope(|s| {
+            let t = s.spawn(|| {
+                send.await_answer(Instant::now() + Duration::from_secs(5))?;
+                while send.gather_next().is_some() {}
+                send.finish()
+            });
+            let recv = offer.direct(&mut staging, 1).unwrap();
+            while recv.gather_next().is_some() {}
+            assert_eq!(recv.finish(), Ok(()));
+            assert_eq!(t.join().unwrap(), Ok(()));
+        });
+        // Receive block j holds send bytes 4j and 4j + 2.
+        let recv_t = Datatype::vector(n / 2, 2, 3, &Datatype::byte())
+            .unwrap()
+            .commit();
+        let mut out = vec![0u8; 3 * n / 2 - 1];
+        let plan = PackPlan::compile(&recv_t, 1).unwrap();
+        assert_eq!(plan.unpack_from(&staging, &mut out, 0), Ok(n));
+        for j in 0..n / 2 {
+            assert_eq!(out[3 * j..3 * j + 2], [(4 * j) as u8, (4 * j + 2) as u8]);
+        }
+    }
+
+    #[test]
+    fn dropped_offer_declines() {
         let src = vec![0u8; 16];
         let (mut send, offer) = post(&src, 0, every_other(8), 4, faults(None), sup());
         drop(offer);
         assert_eq!(
-            send.await_choice(Instant::now() + Duration::from_secs(5)),
-            Ok(Choice::Ring)
+            send.await_answer(Instant::now() + Duration::from_secs(5)),
+            Ok(())
         );
         assert_eq!(send.gather_next(), None);
         assert_eq!(send.finish(), Ok(()));

@@ -53,7 +53,7 @@ pub use error::{CoreError, Result};
 pub use fabric::FaultStats;
 pub use invariants::{oracle_checks_enabled, set_oracle_checks};
 pub use metrics::{Histogram, MetricsSnapshot};
-pub use p2p::{RecvStatus, BSEND_OVERHEAD_BYTES, CHUNK_RING_DEPTH, MAX_SEND_ATTEMPTS};
+pub use p2p::{RecvStatus, BSEND_OVERHEAD_BYTES, MAX_SEND_ATTEMPTS};
 pub use rma::{Window, WindowState};
 pub use selector::{
     iov_max_regions, reset_selector_counters, selector_counters, CrossoverTable, RegionShape,

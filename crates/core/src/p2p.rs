@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use nonctg_datatype::{self as dt, Datatype, PackPlan, Primitive, Scalar};
 use nonctg_simnet::{Access, Datapath, Platform};
 
@@ -28,7 +28,7 @@ use crate::fabric::{
     poll_slice, reply_channel, spin_round, Envelope, FaultStats, OpRecord, Payload, PooledBuf,
     Protocol, SPIN_ROUNDS,
 };
-use crate::handoff::{self, Choice, ChunkFaults, Gathered};
+use crate::handoff::{self, ChunkFaults, Gathered, Offer};
 use crate::selector::{self, RegionShape, SendKind};
 use crate::trace::EventKind;
 
@@ -43,11 +43,6 @@ pub const MAX_SEND_ATTEMPTS: u32 = 5;
 
 /// First retry backoff in virtual seconds; doubles per failed attempt.
 const SEND_BACKOFF_BASE_S: f64 = 2e-6;
-
-/// Chunks in flight on a pipelined rendezvous: the sender may run this
-/// many chunks ahead of the receiver before its ring push blocks. Depth 2
-/// is enough for full pack/unpack overlap; more only adds memory.
-pub const CHUNK_RING_DEPTH: usize = 2;
 
 /// Per-chunk faults forecast for one send at or above which the transfer
 /// is demoted from the pipelined chunk stream to the monolithic
@@ -148,8 +143,9 @@ impl Drop for BsendReleaseGuard {
 /// engine runs before it touches a buffer, with the same error. Every
 /// send and every receive runs it before anything else: a short source
 /// fails before any staging, and a short destination fails before
-/// matching, so the message stays queued for a corrected receive.
-fn check_span(len: usize, origin: usize, dtype: &Datatype, count: usize) -> Result<()> {
+/// matching, so the message stays queued for a corrected receive; an
+/// explicit pack runs it before any fault decision.
+pub(crate) fn check_span(len: usize, origin: usize, dtype: &Datatype, count: usize) -> Result<()> {
     let o = origin as i128;
     let from = o + dtype.true_lb() as i128;
     let to = o
@@ -233,8 +229,8 @@ fn decide_send(
     };
     let eager = kind.eager(p, bytes);
     // Wall-clock pipelining: a large derived-type rendezvous streams its
-    // payload as chunks so the receiver unpacks chunk k while we pack
-    // k+1. A buffered send completes locally and so never streams.
+    // payload in chunks that both ranks gather at once. A buffered send
+    // completes locally and so never streams.
     let route = if contiguous {
         Route::Contiguous
     } else if !eager && !kind.buffered && bytes >= p.effective_pipeline().threshold_bytes {
@@ -336,15 +332,14 @@ fn decide_send(
 /// How a matched receive moves its payload into the user buffer: the
 /// receive twin of [`Route`] (mpicd's `UnpackMethod`).
 enum Mover {
-    /// The unpack engine: a whole payload, or an iovec payload whose
-    /// receive layout has no bounded region list.
+    /// The unpack engine: a whole payload, an iovec payload whose
+    /// receive layout has no bounded region list, or a streamed payload
+    /// that both ranks first gather into a staging buffer.
     Unpack,
     /// The receive plan is one dense run, starting at this buffer byte,
     /// of exactly the streamed payload: both ranks gather it straight
     /// from the sender's buffer.
     Direct(usize),
-    /// Any other streamed payload: unpack chunks from the ring in place.
-    Ring,
     /// Scatter an iovec payload straight into the receiver's own
     /// `(offset, len)` regions.
     Scatter(Vec<(i64, u64)>),
@@ -421,13 +416,13 @@ fn decide_recv(
     let incoming = if dtype.size() == 0 { 0 } else { total / dtype.size() as usize };
     let mover = match &env.payload {
         Payload::Whole(_) => Mover::Unpack,
-        Payload::Chunked { .. } => {
+        Payload::Chunked(_) => {
             let run = dt::plan_for(dtype, incoming).and_then(|pl| pl.regions(1));
             match run.as_deref() {
                 Some(&[(off, len)]) if len as usize == total => {
                     Mover::Direct((origin as i64 + off) as usize)
                 }
-                _ => Mover::Ring,
+                _ => Mover::Unpack,
             }
         }
         // The receiver's own plan over its own type (the sender's regions
@@ -634,8 +629,7 @@ impl Comm {
             }
             Route::Stream(plan) => {
                 return self.stream_send(
-                    buf, origin, &plan, bytes, &access, warm, p, dst, tag, sig, d.corrupt_idx,
-                    op, d.pool_fault,
+                    buf, origin, plan, bytes, &access, warm, p, dst, tag, sig, d.corrupt_idx, op,
                 )
             }
             Route::Contiguous | Route::Plan | Route::Uncompiled => {}
@@ -819,21 +813,22 @@ impl Comm {
         });
     }
 
-    /// Streamed rendezvous: post a chunk-streaming envelope that also
-    /// offers the source for a direct gather, then run whichever side the
-    /// receiver answers. A dense receive makes both ranks gather chunks
-    /// straight into its buffer (see `handoff`); any other receive makes
-    /// this rank pack aligned chunks through a bounded ring while the
-    /// receiver unpacks them in place. The virtual-time charges (staging,
-    /// send overhead, jittered wire) are issued before posting, in exactly
-    /// the monolithic derived-path order, so the cost model cannot tell
-    /// the paths apart. The caller has checked the source span.
+    /// Streamed rendezvous: post an envelope that offers the source, then
+    /// gather alongside the receiver. The receiver answers with a buffer
+    /// of exactly the payload (its own dense run, or a staging buffer it
+    /// unpacks afterwards), and both ranks gather chunks straight into it
+    /// (see `handoff`). A receive that fails after matching declines the
+    /// offer; the rendezvous reply then carries its outcome to
+    /// `complete_send`. The virtual-time charges (staging, send overhead,
+    /// jittered wire) are issued before posting, in exactly the
+    /// monolithic derived-path order, so the cost model cannot tell the
+    /// paths apart. The caller has checked the source span.
     #[allow(clippy::too_many_arguments)]
     fn stream_send(
         &mut self,
         buf: &[u8],
         origin: usize,
-        plan: &Arc<PackPlan>,
+        plan: Arc<PackPlan>,
         bytes: u64,
         access: &Access,
         warm: bool,
@@ -843,7 +838,6 @@ impl Comm {
         sig: nonctg_datatype::Signature,
         corrupt_idx: Option<usize>,
         op: u64,
-        pool_fault: bool,
     ) -> Result<Completion> {
         let t_stage = self.clock.now();
         self.charge(p.staging_time(bytes, access, warm));
@@ -852,141 +846,27 @@ impl Comm {
         self.cache = CacheState::Warm;
         let wire = p.wire_time(bytes, 1.0) * self.jitter.factor();
         let (reply_tx, reply_rx) = reply_channel();
-        let (chunk_tx, chunk_rx) = bounded::<PooledBuf>(CHUNK_RING_DEPTH);
-        let proto =
-            Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: reply_tx };
-        let audit = crate::invariants::oracle_checks_enabled()
-            .then(|| Arc::new(crate::invariants::StreamAudit::new(bytes as usize)));
+        let proto = Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: reply_tx };
         let chunk = p.effective_pipeline().chunk_bytes.max(1);
         let sup = Arc::clone(&self.fabric().supervision);
         let me = self.rank();
         let faults = ChunkFaults { plan: p.fault.clone(), rank: me, op, corrupt_idx };
-        let (mut side, offer) =
-            handoff::post(buf, origin, Arc::clone(plan), chunk, faults, Arc::clone(&sup));
-        self.post(
-            dst,
-            tag,
-            Payload::Chunked { total: bytes as usize, rx: chunk_rx, audit: audit.clone(), offer },
-            sig,
-            proto,
-            None,
-        );
+        let (mut side, offer) = handoff::post(buf, origin, plan, chunk, faults, Arc::clone(&sup));
+        self.post(dst, tag, Payload::Chunked(offer), sig, proto, None);
 
         let deadline = Instant::now() + sup.timeout();
         sup.set_blocked(me, Some("a matching receive"));
-        let choice = side.await_choice(deadline);
+        let answered = side.await_answer(deadline);
         sup.set_blocked(me, None);
-        match choice {
-            Ok(Choice::Ring) => {}
-            Ok(Choice::Direct) => {
-                self.gather_direct(|| side.gather_next(), dst, tag);
-                side.finish().map_err(|e| self.fabric().enrich(e))?;
-                return Ok(Completion::Pending(reply_rx));
-            }
-            Err(e) => return Err(self.fabric().enrich(e)),
-        }
-
-        let pool = Arc::clone(&self.fabric().pool);
-        sup.set_blocked(me, Some("pipelined chunk delivery"));
-        let mut lo: u64 = 0;
-        let mut cidx: u64 = 0;
-        let res = 'pump: loop {
-            if lo >= bytes {
-                break Ok(());
-            }
-            // Step to the next instance-aligned cut; a chunk size below
-            // one pack block still makes progress (aligning up to total).
-            let mut step = chunk;
-            let mut hi = plan.align_chunk(lo + step);
-            while hi <= lo {
-                step *= 2;
-                hi = plan.align_chunk(lo + step);
-            }
-            let n = (hi - lo) as usize;
-            let mut cbuf =
-                if pool_fault { PooledBuf::detached(vec![0u8; n]) } else { pool.take(n) };
-            if let Err(e) = plan.pack_range_into(buf, origin, &mut cbuf, lo, hi) {
-                break Err(crate::error::CoreError::from(e));
-            }
-            // Per-chunk fault mid-pipeline: the faulted staging buffer is
-            // poisoned (quarantined on drop, never recycled) and the
-            // chunk re-packed into a fresh buffer. Wall-clock machinery
-            // only — the virtual clock is untouched, so a retried stream
-            // costs the same virtual time as a clean one.
-            if let Some(fp) = &p.fault {
-                let cf = fp.chunk_decision(me, op, cidx);
-                if cf.is_faulty() {
-                    if cf.corrupt && n > 0 {
-                        let i = fp.chunk_corrupt_byte(me, op, cidx, n);
-                        cbuf[i] ^= 0xFF;
-                    }
-                    cbuf.poison();
-                    drop(cbuf);
-                    cbuf = if pool_fault {
-                        PooledBuf::detached(vec![0u8; n])
-                    } else {
-                        pool.take(n)
-                    };
-                    if let Err(e) = plan.pack_range_into(buf, origin, &mut cbuf, lo, hi) {
-                        break Err(crate::error::CoreError::from(e));
-                    }
-                    sup.with_faults(me, |s| s.chunk_retries += 1);
-                }
-            }
-            if let Some(idx) = corrupt_idx {
-                if (lo as usize..hi as usize).contains(&idx) {
-                    cbuf[idx - lo as usize] ^= 0xFF;
-                    cbuf.poison();
-                }
-            }
-            if let Some(a) = &audit {
-                a.emit(n);
-            }
-            let mut item = cbuf;
-            loop {
-                if let Some(rank) = sup.failed_rank() {
-                    break 'pump Err(CoreError::PeerFailed { rank });
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break 'pump Err(CoreError::deadlock("pipelined chunk delivery"));
-                }
-                let slice = (deadline - now).min(poll_slice());
-                match chunk_tx.send_timeout(item, slice) {
-                    Ok(()) => break,
-                    Err(SendTimeoutError::Timeout(back)) => item = back,
-                    Err(SendTimeoutError::Disconnected(_)) => {
-                        // The receiver abandoned the envelope (it errored
-                        // before draining); the rendezvous reply channel
-                        // carries the outcome to `complete_send`.
-                        break 'pump Ok(());
-                    }
-                }
-            }
-            // Traced once the chunk is actually in the ring; the depth
-            // samples the occupancy including this chunk (the receiver may
-            // have drained it already, hence the floor at 1).
-            let t_now = self.clock.now();
-            self.trace_stream(
-                crate::trace::EventKind::Chunk,
-                t_now,
-                Some(dst),
-                n,
-                Some(tag),
-                Some(cidx as u32),
-                Some(chunk_tx.len().max(1) as u32),
-            );
-            lo = hi;
-            cidx += 1;
-        };
-        sup.set_blocked(me, None);
-        res.map_err(|e| self.fabric().enrich(e))?;
+        answered.map_err(|e| self.fabric().enrich(e))?;
+        self.gather_direct(|| side.gather_next(), dst, tag);
+        side.finish().map_err(|e| self.fabric().enrich(e))?;
         Ok(Completion::Pending(reply_rx))
     }
 
-    /// This rank's share of a direct gather: claim and gather chunks
-    /// until none is left, tracing each as one zero-width `Chunk` marker
-    /// without a ring depth. Purely wall-clock: no virtual charges.
+    /// This rank's share of a streamed gather: claim and gather chunks
+    /// until none is left, tracing each as one zero-width `Chunk` marker.
+    /// Purely wall-clock: no virtual charges.
     fn gather_direct(&mut self, next: impl Fn() -> Option<Gathered>, peer: usize, tag: i32) {
         while let Some(g) = next() {
             let t_now = self.clock.now();
@@ -997,9 +877,17 @@ impl Comm {
                 g.bytes,
                 Some(tag),
                 Some(g.seq),
-                None,
             );
         }
+    }
+
+    /// The receiver's side of a streamed payload: answer the sender's
+    /// `offer` with `dst`, which holds exactly the payload, and gather
+    /// alongside the sender until every chunk is in.
+    fn gather_offer(&mut self, offer: Offer, dst: &mut [u8], src: usize, tag: i32) -> Result<()> {
+        let side = offer.direct(dst, self.rank()).map_err(|e| self.fabric().enrich(e))?;
+        self.gather_direct(|| side.gather_next(), src, tag);
+        side.finish().map_err(|e| self.fabric().enrich(e))
     }
 
     /// Iovec rendezvous: no staging gather is charged — the sender pays a
@@ -1144,10 +1032,10 @@ impl Comm {
                 panic!("fault plan: injected crash of rank {me} at op {op}");
             }
             if plan.should_crash_recv(me, op) {
-                // Receiver-side crash mid-stream: surfaces as a typed
-                // error rather than a panic. Poisoning the fabric first
-                // means a sender pumping chunks at this rank observes
-                // `PeerFailed` instead of hanging on the ring.
+                // Receiver-side crash: surfaces as a typed error rather
+                // than a panic. Poisoning the fabric first means a sender
+                // waiting on this rank observes `PeerFailed` instead of
+                // hanging until its deadline.
                 sup.with_faults(me, |s| s.recv_crashes += 1);
                 sup.poison(me);
                 return Err(fabric.enrich(CoreError::RankPanicked {
@@ -1178,16 +1066,19 @@ impl Comm {
             (Mover::Unpack, Payload::Whole(data) | Payload::Iovec { data }) => {
                 dt::unpack_from(&data, dtype, n, buf, origin)?
             }
-            (Mover::Direct(lo), Payload::Chunked { offer, .. }) => {
-                let side =
-                    offer.direct(&mut buf[lo..lo + total], me).map_err(|e| fabric.enrich(e))?;
-                self.gather_direct(|| side.gather_next(), env_src, env_tag);
-                side.finish().map_err(|e| fabric.enrich(e))?;
+            (Mover::Direct(lo), Payload::Chunked(offer)) => {
+                self.gather_offer(offer, &mut buf[lo..lo + total], env_src, env_tag)?;
                 total
             }
-            (Mover::Ring, Payload::Chunked { rx, audit, offer, .. }) => {
-                offer.ring().map_err(|e| fabric.enrich(e))?;
-                self.drain_chunks(rx, audit, total, dtype, n, buf, origin, env_src, env_tag)?
+            (Mover::Unpack, Payload::Chunked(offer)) => {
+                let mut staging = fabric.pool.take(total);
+                if offer.corrupts() {
+                    // As for a whole payload: the corrupted bytes never
+                    // return to the pool.
+                    staging.poison();
+                }
+                self.gather_offer(offer, &mut staging, env_src, env_tag)?;
+                dt::unpack_from(&staging, dtype, n, buf, origin)?
             }
             (Mover::Scatter(regions), Payload::Iovec { data }) => {
                 scatter(&data, &regions, buf, origin)
@@ -1213,161 +1104,6 @@ impl Comm {
         self.cache = CacheState::Warm;
         self.trace(EventKind::Recv, t_post, Some(env_src), total, Some(env_tag));
         Ok(RecvStatus { source: env_src, tag: env_tag, bytes: total })
-    }
-
-    /// Drain a pipelined payload, unpacking each chunk in place via the
-    /// receive type's compiled plan. Sender chunks are aligned to the
-    /// *send* plan, so a carry buffer bridges cuts that fall mid-instance
-    /// for the receive plan; bytes past the whole instances the posted
-    /// receive consumes are drained and dropped, exactly like the
-    /// monolithic unpack. Purely wall-clock: no virtual charges here.
-    /// Returns the packed bytes deposited into `buf`.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_chunks(
-        &mut self,
-        rx: Receiver<PooledBuf>,
-        audit: Option<Arc<crate::invariants::StreamAudit>>,
-        total: usize,
-        dtype: &Datatype,
-        incoming_count: usize,
-        buf: &mut [u8],
-        origin: usize,
-        src: usize,
-        tag: i32,
-    ) -> Result<usize> {
-        let plan = dt::plan_for(dtype, incoming_count);
-        // Bytes the posted receive actually delivers into `buf`.
-        let fit = plan.as_ref().map(|pl| pl.packed_len()).unwrap_or(0);
-        let me = self.rank();
-        let sup = Arc::clone(&self.fabric().supervision);
-        let deadline = Instant::now() + sup.timeout();
-        sup.set_blocked(me, Some("pipelined chunk arrival"));
-        let mut pos = 0usize;
-        let mut carry: Vec<u8> = Vec::new();
-        let mut received = 0usize;
-        let mut cseq: u32 = 0;
-        let mut out: Result<()> = Ok(());
-        'drain: while received < total {
-            let cbuf = loop {
-                if let Some(rank) = sup.failed_rank() {
-                    if let Ok(c) = rx.try_recv() {
-                        break c;
-                    }
-                    out = Err(CoreError::PeerFailed { rank });
-                    break 'drain;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    out = Err(CoreError::deadlock("pipelined chunk arrival"));
-                    break 'drain;
-                }
-                let slice = (deadline - now).min(poll_slice());
-                match rx.recv_timeout(slice) {
-                    Ok(c) => break c,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        out = Err(match sup.failed_rank() {
-                            Some(rank) => CoreError::PeerFailed { rank },
-                            None => CoreError::deadlock("pipelined chunk arrival"),
-                        });
-                        break 'drain;
-                    }
-                }
-            };
-            let n = cbuf.len();
-            received += n;
-            if let Some(a) = &audit {
-                a.drain(n);
-            }
-            // Depth samples the ring occupancy at drain time including
-            // this chunk: 1 = the receiver caught the sender.
-            let ring_depth = rx.len() as u32 + 1;
-            let t_now = self.clock.now();
-            self.trace_stream(
-                crate::trace::EventKind::Chunk,
-                t_now,
-                Some(src),
-                n,
-                Some(tag),
-                Some(cseq),
-                Some(ring_depth),
-            );
-            let seq = cseq;
-            cseq += 1;
-            // Bytes that detour through the carry buffer (chunk cuts that
-            // fall mid-instance for the receive plan) are traced as a
-            // zero-width Copy so the analyzer can price the extra memcpy;
-            // no virtual time is charged, exactly like the Chunk marker.
-            let trace_carry = |me: &mut Self, carried: usize| {
-                if carried > 0 {
-                    let t = me.clock.now();
-                    me.trace_stream(
-                        crate::trace::EventKind::Copy,
-                        t,
-                        Some(src),
-                        carried,
-                        Some(tag),
-                        Some(seq),
-                        None,
-                    );
-                }
-            };
-            let Some(pl) = &plan else { // no plan: assemble, unpack at the end
-                trace_carry(self, cbuf.len());
-                carry.extend_from_slice(&cbuf);
-                continue;
-            };
-            if pos + carry.len() >= fit {
-                continue; // trailing partial instance: drained, dropped
-            }
-            // Bytes still wanted at the fit boundary, net of what the
-            // carry buffer already holds — taking `fit - pos` here would
-            // strand the trailing partial instance in the carry buffer.
-            let take = (fit - pos - carry.len()).min(n);
-            let aligned_end = pl.align_chunk((pos + take) as u64) as usize;
-            if carry.is_empty() && aligned_end == pos + take {
-                // Fast path: the chunk ends on a cut of the receive plan
-                // too — unpack straight from the ring buffer, in place.
-                if aligned_end > pos {
-                    if let Err(e) = pl.unpack_range_from(&cbuf[..take], buf, origin, pos as u64, aligned_end as u64) {
-                        out = Err(e.into());
-                        break 'drain;
-                    }
-                    pos = aligned_end;
-                }
-            } else {
-                trace_carry(self, take);
-                carry.extend_from_slice(&cbuf[..take]);
-                let hi = pl.align_chunk((pos + carry.len()) as u64) as usize;
-                if hi > pos {
-                    let used = hi - pos;
-                    if let Err(e) = pl.unpack_range_from(&carry[..used], buf, origin, pos as u64, hi as u64) {
-                        out = Err(e.into());
-                        break 'drain;
-                    }
-                    carry.drain(..used);
-                    pos = hi;
-                }
-            }
-        }
-        sup.set_blocked(me, None);
-        out.map_err(|e| self.fabric().enrich(e))?;
-        if plan.is_none() {
-            pos = dt::unpack_from(&carry, dtype, incoming_count, buf, origin)?;
-        } else {
-            debug_assert!(carry.is_empty() && pos == fit.min(total));
-            if crate::invariants::oracle_checks_enabled()
-                && (!carry.is_empty() || pos != fit.min(total))
-            {
-                crate::invariants::violation(
-                    "chunk drain left a partial instance stranded in the carry buffer",
-                );
-            }
-        }
-        if let Some(a) = &audit {
-            a.finish();
-        }
-        Ok(pos)
     }
 
     /// Receive into a contiguous byte buffer.

@@ -11,6 +11,7 @@ use nonctg_simnet::Access;
 
 use crate::comm::{CacheState, Comm};
 use crate::error::Result;
+use crate::p2p::check_span;
 
 impl Comm {
     /// Upper bound (here: exact) packed size of `count` instances
@@ -39,7 +40,8 @@ impl Comm {
     /// internal staging pack: an injected plan-compile failure falls
     /// back to the uncompiled interpreter, counted in
     /// [`crate::FaultStats`] and traced as a demotion. A `position` past
-    /// the end of `outbuf` is rejected before any fault decision, so a
+    /// the end of `outbuf`, too little room after it, or a `src` too
+    /// short for the type is rejected before any fault decision, so a
     /// rejected call consumes no fault op and counts no demotion.
     pub fn pack(
         &mut self,
@@ -58,6 +60,18 @@ impl Comm {
                 buffer_len: outbuf.len(),
             }
             .into());
+        }
+        // The pack engine's own checks, in its order: room, then span.
+        if bytes > 0 {
+            let room = outbuf.len() - *position;
+            if room < bytes as usize {
+                return Err(dt::DatatypeError::BufferTooSmall {
+                    needed: bytes as usize,
+                    available: room,
+                }
+                .into());
+            }
+            check_span(src.len(), origin, dtype, count)?;
         }
         let access = Access::classify(dtype);
         let mut plan_failed = false;

@@ -44,8 +44,8 @@ pub enum EventKind {
     /// Receive-side scatter of a non-contiguous delivery into the user
     /// datatype; nests inside the enclosing `Recv` event.
     Unstage,
-    /// One chunk of a pipelined rendezvous payload crossing the ring
-    /// (sender: packed-and-posted; receiver: drained-and-delivered).
+    /// One chunk of a streamed rendezvous payload, traced by whichever
+    /// rank gathered it (each chunk once, on one of the two ranks).
     /// Zero-width in virtual time — the enclosing `Send`/`Recv` carries
     /// the cost — so it never perturbs phase attribution.
     Chunk,
@@ -129,16 +129,9 @@ pub struct TraceEvent {
     /// Message tag, when applicable.
     pub tag: Option<i32>,
     /// Position in an ordered stream: for [`EventKind::Chunk`] the chunk's
-    /// sequence number within its pipelined transfer (0-based, counted
-    /// independently on the sender and the receiver).
+    /// index within its streamed transfer (0-based, shared by the two
+    /// ranks: each index appears on exactly one of them).
     pub seq: Option<u32>,
-    /// Chunk-ring occupancy when the event was recorded, **including** the
-    /// chunk the event describes: on the sender, how many chunks sat in
-    /// the ring right after this one was posted; on the receiver, how many
-    /// were available right when this one was drained. A drain depth of 1
-    /// means the receiver caught the sender (no chunk was waiting behind
-    /// this one); a depth at ring capacity means the pipeline was full.
-    pub depth: Option<u32>,
 }
 
 impl TraceEvent {
@@ -376,7 +369,6 @@ mod tests {
             bytes: 100,
             tag: None,
             seq: None,
-            depth: None,
         }
     }
 

@@ -15,7 +15,8 @@ use proptest::prelude::*;
 
 /// How rank 1 receives the strided payload. The first four receive
 /// plans are one dense run, so a streamed send gathers straight into the
-/// receive buffer on both ranks; the rest drain the chunk ring.
+/// receive buffer on both ranks; the rest gather into a staging buffer
+/// that the receiver then unpacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RecvMode {
     /// Contiguous `recv_slice` — the receive plan is dense.
@@ -28,18 +29,16 @@ enum RecvMode {
     /// A one-block `hindexed` of the whole payload at byte 24: a dense
     /// type with a non-zero lower bound.
     DenseLowerBound,
-    /// The sender's vector type — chunk cuts land on receive-plan
-    /// boundaries (in-place fast path).
+    /// The sender's vector type: chunk cuts land on receive-plan
+    /// boundaries.
     SameVector,
-    /// A coarser vector type with twice the blocklength — the sender's
+    /// A coarser vector type with twice the blocklength: the sender's
     /// chunk alignment is finer than the receiver's, so cuts straddle
-    /// receive blocks and exercise the carry buffer.
+    /// receive blocks.
     CoarseVector,
     /// A coarser vector type whose instance size does not divide the sent
     /// byte count: the posted receive consumes only the whole instances
-    /// (`fit < total`) and the trailing partial instance is drained and
-    /// dropped. Combined with misaligned chunk cuts this drives the carry
-    /// buffer across the `fit` boundary.
+    /// (`fit < total`) and the trailing partial instance is dropped.
     PartialTrailing,
 }
 
@@ -249,15 +248,11 @@ proptest! {
 }
 
 /// Pinned regression (oracle-discovered class): a chunk cut straddling the
-/// `fit` boundary while the carry buffer is non-empty. Sender streams 7
-/// blocks of one f64 (56 bytes, cuts on the 8-byte send grid); receiver
-/// posts two instances of vector(2, 3, 4, f64) — 48-byte instances, so
-/// fit = 48 < total = 56 and the receive grid cuts at 24/48. With a
-/// 40-byte pipeline chunk the second chunk [40, 56) arrives with 16 carry
-/// bytes pending; the drain loop used to take `fit - pos` fresh bytes
-/// without discounting the carry, leaving the trailing partial instance
-/// stuck in the carry buffer (debug assertion failure / invariant
-/// violation at end of drain).
+/// `fit` boundary. Sender streams 7 blocks of one f64 (56 bytes, cuts on
+/// the 8-byte send grid); receiver posts two instances of
+/// vector(2, 3, 4, f64) — 48-byte instances, so fit = 48 < total = 56 and
+/// the receive grid cuts at 24/48. With a 40-byte pipeline chunk the
+/// second chunk [40, 56) crosses both 48 and the send grid.
 #[test]
 fn carry_across_fit_boundary_matches_monolithic() {
     let case = Case {
@@ -324,24 +319,20 @@ fn direct_gather_flips_the_corrupt_byte() {
     }
 }
 
-/// Every dense receive mode gathers on both ranks: one depth-less marker
-/// per non-empty chunk across the two ranks, each index once, and no ring
-/// drains. Every derived receive mode still drains the ring: the receiver
-/// traces one marker per chunk, each with its ring depth.
+/// Every receive mode gathers on both ranks: one marker per non-empty
+/// chunk across the two ranks, each index once, carrying the payload.
 #[test]
-fn receive_type_picks_direct_gather_or_ring() {
-    let dense = [
+fn every_receive_mode_gathers_on_both_ranks() {
+    let modes = [
         RecvMode::Contiguous,
         RecvMode::ContiguousAtOrigin,
         RecvMode::Oversized,
         RecvMode::DenseLowerBound,
-    ];
-    let derived = [
         RecvMode::SameVector,
         RecvMode::CoarseVector,
         RecvMode::PartialTrailing,
     ];
-    for recv_mode in dense.into_iter().chain(derived) {
+    for recv_mode in modes {
         // 64 blocks of 2 f64 (65 for the partial trailing instance):
         // 1024 or 1040 bytes over 128-byte chunks, every chunk non-empty
         // since the cuts land on the 16-byte block grid.
@@ -360,36 +351,14 @@ fn receive_type_picks_direct_gather_or_ring() {
         };
         let total = blocks * 2 * 8;
         let markers = chunk_markers(case);
-        if dense.contains(&recv_mode) {
-            let mut seqs: Vec<u32> = markers.iter().flatten().map(|e| e.seq.unwrap()).collect();
-            seqs.sort_unstable();
-            assert_eq!(
-                seqs,
-                (0..total.div_ceil(128) as u32).collect::<Vec<_>>(),
-                "{recv_mode:?}"
-            );
-            assert!(
-                markers.iter().flatten().all(|e| e.depth.is_none()),
-                "{recv_mode:?}"
-            );
-            let bytes: usize = markers.iter().flatten().map(|e| e.bytes).sum();
-            assert_eq!(bytes, total, "{recv_mode:?}");
-        } else {
-            let drains = &markers[1];
-            assert!(
-                !drains.is_empty(),
-                "{recv_mode:?}: receiver drained no chunks"
-            );
-            assert!(drains.iter().all(|e| e.depth.is_some()), "{recv_mode:?}");
-            assert_eq!(
-                drains.iter().map(|e| e.bytes).sum::<usize>(),
-                total,
-                "{recv_mode:?}"
-            );
-            assert!(
-                markers[0].iter().all(|e| e.depth.is_some()),
-                "{recv_mode:?}"
-            );
-        }
+        let mut seqs: Vec<u32> = markers.iter().flatten().map(|e| e.seq.unwrap()).collect();
+        seqs.sort_unstable();
+        assert_eq!(
+            seqs,
+            (0..total.div_ceil(128) as u32).collect::<Vec<_>>(),
+            "{recv_mode:?}"
+        );
+        let bytes: usize = markers.iter().flatten().map(|e| e.bytes).sum();
+        assert_eq!(bytes, total, "{recv_mode:?}");
     }
 }

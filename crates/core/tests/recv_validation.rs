@@ -166,3 +166,46 @@ fn truncation_and_signature_errors_consume_the_message() {
         assert_eq!(r, Ok(()), "rank {rank}");
     }
 }
+
+/// A streamed send whose receive fails after matching: a truncating
+/// receive, dense or derived, drops the sender's offer unanswered. The
+/// receiver gets `Truncate`, the sender the deadlock error of a
+/// rendezvous whose reply never comes, and neither waits for its
+/// deadline.
+#[test]
+fn truncated_streamed_receives_decline_the_offer() {
+    let (count, blocklen, stride) = (4096usize, 16usize, 32i64);
+    let packed = count * blocklen;
+    let src_len = (count - 1) * stride as usize + blocklen;
+    let timeout = 20.0;
+    for dense in [true, false] {
+        let platform = quiet().with_pipeline(1, 16 << 10).with_deadlock_timeout(timeout);
+        let started = std::time::Instant::now();
+        let mut results = Universe::run_supervised(platform, 2, move |comm| {
+            let vtype = Datatype::vector(count, blocklen, stride, &Datatype::byte())?.commit();
+            if comm.rank() == 0 {
+                return Ok(comm.ssend(&pattern(src_len), 0, &vtype, 1, 1, 0));
+            }
+            let mut buf = vec![0u8; src_len];
+            let got = if dense {
+                comm.recv_bytes(&mut buf[..packed - 16], Some(0), Some(0))
+            } else {
+                let half =
+                    Datatype::vector(count / 2, blocklen, stride, &Datatype::byte())?.commit();
+                comm.recv(&mut buf, 0, &half, 1, Some(0), Some(0))
+            };
+            assert!(buf.iter().all(|&b| b == 0), "a failed receive wrote bytes");
+            Ok(got.map(|_| ()))
+        });
+        let elapsed = started.elapsed().as_secs_f64();
+        let received = results.pop().unwrap().unwrap();
+        let sent = results.pop().unwrap().unwrap();
+        let capacity = if dense { packed - 16 } else { packed / 2 };
+        assert_eq!(received, Err(CoreError::Truncate { incoming: packed, capacity }));
+        assert!(
+            matches!(sent, Err(CoreError::Deadlock { waiting_for: "rendezvous completion", .. })),
+            "sender outcome (dense {dense}): {sent:?}"
+        );
+        assert!(elapsed < timeout / 2.0, "took {elapsed} s (dense {dense})");
+    }
+}

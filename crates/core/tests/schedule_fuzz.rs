@@ -3,11 +3,11 @@
 //! virtual results, with every fabric invariant check enabled.
 //!
 //! Wall-clock staggering perturbs *only* the OS schedule — which rank's
-//! thread gets to post, match, pack, and pump first — so any divergence
+//! thread gets to post, match, pack, and gather first — so any divergence
 //! in payload bytes or virtual clocks is a real ordering bug in the
 //! fabric (lost chunk, misattributed charge, aliased pool buffer), not
-//! jitter. Each permutation also re-runs the chunk-ring and payload-pool
-//! paths under the `NONCTG_ORACLE` assertions, so an interleaving that
+//! jitter. Each permutation also re-runs the streamed-gather and
+//! payload-pool paths under the `NONCTG_ORACLE` assertions, so an interleaving that
 //! corrupts state panics instead of silently producing a lucky result.
 
 use std::time::Duration;
@@ -107,7 +107,7 @@ fn workload(comm: &mut Comm, perm: u64) -> (u64, u64) {
 
 /// Across permuted schedules, every rank's received bytes and final
 /// virtual clock are bit-identical — and no interleaving trips the
-/// chunk-ring, pool-aliasing, conservation, or clock invariants.
+/// streamed-gather, pool-aliasing, conservation, or clock invariants.
 #[test]
 fn permuted_schedules_are_virtually_identical() {
     let _serial = TOGGLE.lock().unwrap();

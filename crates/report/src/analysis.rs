@@ -20,13 +20,12 @@
 //!
 //! ## Pipeline bubbles
 //!
-//! Chunked-rendezvous overlap cannot be measured from chunk timestamps:
-//! the sender charges staging once before the pump loop and the
-//! receiver's drain is wall-clock-only, so every chunk marker within a
-//! transfer carries the same virtual timestamp. Instead
-//! [`pipeline_report`] uses the ring-depth occupancy sampled into each
-//! chunk marker: a drain at depth 1 means the receiver caught the
-//! sender (no overlap); depth = capacity means a fully primed ring.
+//! A streamed rendezvous is gathered by both ranks in wall-clock time
+//! only: the sender charges staging once before posting, and every chunk
+//! marker within a transfer carries its rank's virtual timestamp of that
+//! moment. [`pipeline_report`] therefore reads the receiver's window
+//! against the critical path: how much of it the receiver drove, and how
+//! much it spent waiting (the bubble).
 
 use crate::traceviz::Span;
 use std::fmt::Write as _;
@@ -267,24 +266,15 @@ pub fn critical_path(spans: &[Span]) -> Option<CriticalPath> {
     Some(CriticalPath { edges, t_begin, t_end })
 }
 
-/// Pipeline overlap and bubble accounting for one chunked transfer's
-/// receiver, derived from ring-depth occupancy plus the critical path.
+/// Bubble accounting for the receiver of a streamed transfer, read
+/// against the critical path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Receiver track (rank) the report describes.
     pub receiver: usize,
-    /// Number of chunk drains observed on the receiver.
+    /// Chunk markers on every track: each gathered chunk once, on the
+    /// rank that gathered it.
     pub chunks: usize,
-    /// Chunk-ring capacity the occupancy is normalized against.
-    pub ring_capacity: u32,
-    /// Mean drain depth (1 = receiver always caught the sender).
-    pub mean_depth: f64,
-    /// `(mean_depth - 1) / (ring_capacity - 1)`: 0 = no overlap, 1 =
-    /// ring fully primed at every drain. The final drain of a transfer
-    /// always lands at depth 1, so this is structurally `< 1`.
-    pub overlap_efficiency: f64,
-    /// Fraction of drains at depth >= 2 (sender was ahead).
-    pub primed_fraction: f64,
     /// Start of the receiver's traced window.
     pub receiver_t_start: f64,
     /// End of the receiver's traced window.
@@ -306,33 +296,22 @@ pub struct PipelineReport {
     /// receiver's elapsed time with no float slop.
     pub bubble_s: f64,
     /// The part of the bubble where the critical path ran pack or
-    /// transfer work on *another* track — time the receiver was
-    /// constrained by the sender side of the chunk ring (ring stall).
-    /// Sync work (cache flushes, barriers) is a bubble but not a
-    /// stall.
-    pub ring_stall_s: f64,
+    /// transfer work on *another* track — time the receiver waited on
+    /// the sender. Sync work (cache flushes, barriers) is a bubble but
+    /// not a stall.
+    pub stall_s: f64,
     /// True when the critical-path edges clipped to the receiver
     /// window still form a bit-exact tiling of it.
     pub tiling_exact: bool,
-    /// Bytes re-copied through the receiver's carry buffer (chunk
-    /// boundaries that split a contiguous run).
-    pub carry_bytes: usize,
-    /// Carry dead time priced at the roofline copy bandwidth
-    /// (`carry_bytes / copy_bw`), when a bandwidth was supplied.
-    pub carry_dead_s: Option<f64>,
 }
 
 impl PipelineReport {
     /// Serialize as a JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"schema_version\": 1,\n");
+        out.push_str("{\n  \"schema_version\": 2,\n");
         let _ = writeln!(out, "  \"receiver\": {},", self.receiver);
         let _ = writeln!(out, "  \"chunks\": {},", self.chunks);
-        let _ = writeln!(out, "  \"ring_capacity\": {},", self.ring_capacity);
-        let _ = writeln!(out, "  \"mean_depth\": {},", jnum(self.mean_depth));
-        let _ = writeln!(out, "  \"overlap_efficiency\": {},", jnum(self.overlap_efficiency));
-        let _ = writeln!(out, "  \"primed_fraction\": {},", jnum(self.primed_fraction));
         let _ = writeln!(out, "  \"receiver_t_start\": {},", jnum(self.receiver_t_start));
         let _ = writeln!(out, "  \"receiver_t_end\": {},", jnum(self.receiver_t_end));
         let _ = writeln!(out, "  \"receiver_elapsed_s\": {},", jnum(self.receiver_elapsed_s));
@@ -343,38 +322,22 @@ impl PipelineReport {
             jnum(self.critical_on_receiver_s)
         );
         let _ = writeln!(out, "  \"bubble_s\": {},", jnum(self.bubble_s));
-        let _ = writeln!(out, "  \"ring_stall_s\": {},", jnum(self.ring_stall_s));
-        let _ = writeln!(out, "  \"tiling_exact\": {},", self.tiling_exact);
-        let _ = writeln!(out, "  \"carry_bytes\": {},", self.carry_bytes);
-        let _ = write!(
-            out,
-            "  \"carry_dead_s\": {}\n}}",
-            self.carry_dead_s.map(jnum).unwrap_or_else(|| "null".into())
-        );
+        let _ = writeln!(out, "  \"stall_s\": {},", jnum(self.stall_s));
+        let _ = write!(out, "  \"tiling_exact\": {}\n}}", self.tiling_exact);
         out
     }
 }
 
-/// Build a [`PipelineReport`] for `receiver`'s chunk drains.
-///
-/// Chunk drains are the zero-width `chunk` markers on the receiver
-/// track; their `depth` field is the ring occupancy sampled at the
-/// drain. Carry traffic is the zero-width `copy` markers the receiver
-/// emits when a chunk boundary splits a contiguous run. Returns `None`
-/// when the receiver drained no chunks (unchunked transfer) or
-/// recorded no window.
+/// Build a [`PipelineReport`] for `receiver`'s window. Returns `None`
+/// when no track traced a `chunk` marker (no streamed transfer) or the
+/// receiver recorded no window.
 pub fn pipeline_report(
     spans: &[Span],
     path: &CriticalPath,
     receiver: usize,
-    ring_capacity: u32,
-    copy_bw: Option<f64>,
 ) -> Option<PipelineReport> {
-    let drains: Vec<&Span> = spans
-        .iter()
-        .filter(|s| s.track == receiver && s.name == "chunk" && s.depth.is_some())
-        .collect();
-    if drains.is_empty() {
+    let chunks = spans.iter().filter(|s| s.name == "chunk").count();
+    if chunks == 0 {
         return None;
     }
 
@@ -391,15 +354,6 @@ pub fn pipeline_report(
     if r0 >= r1 {
         return None;
     }
-
-    let depths: Vec<f64> = drains.iter().map(|s| f64::from(s.depth.unwrap())).collect();
-    let mean_depth = depths.iter().sum::<f64>() / depths.len() as f64;
-    let overlap_efficiency = if ring_capacity > 1 {
-        (mean_depth - 1.0) / f64::from(ring_capacity - 1)
-    } else {
-        0.0
-    };
-    let primed = depths.iter().filter(|&&d| d >= 2.0).count();
 
     // Clip the critical path to the receiver window. The global edges
     // tile [t_begin, t_end] with bit-identical boundaries, so the
@@ -432,32 +386,17 @@ pub fn pipeline_report(
         tiling_exact = false;
     }
 
-    let carry_bytes: usize = spans
-        .iter()
-        .filter(|s| {
-            s.track == receiver && s.name == "copy" && s.seq.is_some() && s.t_end == s.t_start
-        })
-        .map(|s| s.bytes)
-        .sum();
-    let carry_dead_s = copy_bw.filter(|&bw| bw > 0.0).map(|bw| carry_bytes as f64 / bw);
-
     Some(PipelineReport {
         receiver,
-        chunks: drains.len(),
-        ring_capacity,
-        mean_depth,
-        overlap_efficiency,
-        primed_fraction: primed as f64 / depths.len() as f64,
+        chunks,
         receiver_t_start: r0,
         receiver_t_end: r1,
         receiver_elapsed_s: r1 - r0,
         busy_on_path_s: busy,
         critical_on_receiver_s: on_receiver,
         bubble_s: (r1 - r0) - on_receiver,
-        ring_stall_s: stall,
+        stall_s: stall,
         tiling_exact,
-        carry_bytes,
-        carry_dead_s,
     })
 }
 
@@ -657,11 +596,10 @@ mod tests {
             peer: None,
             tag: None,
             seq: None,
-            depth: None,
         }
     }
 
-    fn drain(track: usize, t: f64, seq: u32, depth: u32) -> Span {
+    fn marker(track: usize, t: f64, seq: u32) -> Span {
         Span {
             track,
             name: "chunk".into(),
@@ -671,7 +609,6 @@ mod tests {
             peer: None,
             tag: Some(1),
             seq: Some(seq),
-            depth: Some(depth),
         }
     }
 
@@ -723,33 +660,24 @@ mod tests {
     #[test]
     fn no_positive_width_means_no_path() {
         assert!(critical_path(&[]).is_none());
-        assert!(critical_path(&[drain(0, 1.0, 0, 1)]).is_none());
+        assert!(critical_path(&[marker(0, 1.0, 0)]).is_none());
     }
 
     #[test]
-    fn pipeline_report_from_ring_depths() {
+    fn pipeline_report_partitions_the_receiver_window() {
         let mut spans = vec![
             span(0, "stage", 0.0, 4.0),
             span(1, "recv", 0.0, 1.0),
             span(1, "unstage", 4.0, 6.0),
         ];
-        // Drains at depths 2, 2, 1 on a capacity-2 ring.
-        spans.push(drain(1, 4.0, 0, 2));
-        spans.push(drain(1, 4.0, 1, 2));
-        spans.push(drain(1, 4.0, 2, 1));
-        // One carry copy of 512 bytes.
-        let mut carry = span(1, "copy", 4.0, 4.0);
-        carry.seq = Some(1);
-        carry.bytes = 512;
-        spans.push(carry);
+        // Three chunks, gathered by the sender (0, 2) and the receiver (1).
+        spans.push(marker(0, 4.0, 0));
+        spans.push(marker(1, 4.0, 1));
+        spans.push(marker(0, 4.0, 2));
 
         let p = critical_path(&spans).unwrap();
-        let r = pipeline_report(&spans, &p, 1, 2, Some(1024.0)).unwrap();
+        let r = pipeline_report(&spans, &p, 1).unwrap();
         assert_eq!(r.chunks, 3);
-        assert!((r.mean_depth - 5.0 / 3.0).abs() < 1e-12);
-        assert!((r.overlap_efficiency - 2.0 / 3.0).abs() < 1e-12);
-        assert!((r.primed_fraction - 2.0 / 3.0).abs() < 1e-12);
-        assert!(r.overlap_efficiency > 0.0 && r.overlap_efficiency < 1.0);
         assert!(r.tiling_exact);
         // Receiver window is [0, 6]; the receiver's critical share +
         // bubbles partitions it.
@@ -760,20 +688,18 @@ mod tests {
         );
         // Stage on track 0 owns [0, 4] of the path (the backward sweep
         // jumps from t=4 to stage's start, never cutting at recv's end)
-        // => ring stall 4, receiver share = unstage's [4, 6] = 2,
+        // => stall 4, receiver share = unstage's [4, 6] = 2,
         // bubble = 6 - 2 = 4.
-        assert!((r.ring_stall_s - 4.0).abs() < 1e-12);
+        assert!((r.stall_s - 4.0).abs() < 1e-12);
         assert!((r.critical_on_receiver_s - 2.0).abs() < 1e-12);
         assert!((r.bubble_s - 4.0).abs() < 1e-12);
-        assert_eq!(r.carry_bytes, 512);
-        assert!((r.carry_dead_s.unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn pipeline_report_none_without_drains() {
+    fn pipeline_report_none_without_chunks() {
         let spans = vec![span(0, "send", 0.0, 1.0), span(1, "recv", 0.0, 1.0)];
         let p = critical_path(&spans).unwrap();
-        assert!(pipeline_report(&spans, &p, 1, 2, None).is_none());
+        assert!(pipeline_report(&spans, &p, 1).is_none());
     }
 
     #[test]
@@ -782,7 +708,7 @@ mod tests {
             span(0, "pack", 0.0, 1.0),
             span(0, "send", 1.0, 3.0),
             span(1, "recv", 3.0, 5.0),
-            drain(1, 3.0, 0, 2),
+            marker(1, 3.0, 0),
         ];
         let p = critical_path(&spans).unwrap();
         let j = p.to_json();

@@ -30,12 +30,9 @@ pub struct Span {
     pub peer: Option<usize>,
     /// Message tag, when applicable.
     pub tag: Option<i64>,
-    /// Position in an ordered stream (chunk sequence number), when the
-    /// span belongs to a pipelined transfer.
+    /// Position in an ordered stream (chunk index), when the span belongs
+    /// to a streamed transfer.
     pub seq: Option<u32>,
-    /// Chunk-ring occupancy sampled when the span was recorded, when the
-    /// span belongs to a pipelined transfer.
-    pub depth: Option<u32>,
 }
 
 impl Span {
@@ -108,9 +105,6 @@ pub fn chrome_trace_json(spans: &[Span], process_name: &str, track_names: &[Stri
         if let Some(q) = s.seq {
             let _ = write!(out, ", \"seq\": {q}");
         }
-        if let Some(d) = s.depth {
-            let _ = write!(out, ", \"depth\": {d}");
-        }
         out.push_str("}}");
     }
     out.push_str("\n]}\n");
@@ -179,7 +173,6 @@ mod tests {
             peer: Some(1 - track.min(1)),
             tag: Some(7),
             seq: None,
-            depth: None,
         }
     }
 
@@ -211,17 +204,14 @@ mod tests {
     }
 
     #[test]
-    fn chrome_json_emits_seq_and_depth() {
+    fn chrome_json_emits_seq() {
         let mut s = span(0, "chunk", 0.0, 1e-6);
         s.seq = Some(3);
-        s.depth = Some(2);
         let j = chrome_trace_json(&[s], "nonctg", &[]);
         assert!(j.contains("\"seq\": 3"));
-        assert!(j.contains("\"depth\": 2"));
-        // Plain spans must not carry the keys at all.
+        // Plain spans must not carry the key at all.
         let j2 = chrome_trace_json(&[span(0, "send", 0.0, 1e-6)], "nonctg", &[]);
         assert!(!j2.contains("\"seq\""));
-        assert!(!j2.contains("\"depth\""));
     }
 
     #[test]

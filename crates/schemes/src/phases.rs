@@ -332,7 +332,6 @@ mod tests {
             bytes: 8,
             tag: None,
             seq: None,
-            depth: None,
         }
     }
 
