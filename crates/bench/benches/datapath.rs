@@ -34,8 +34,8 @@ fn bench_rendezvous(c: &mut Criterion) {
     g.sample_size(10);
     let mono = Platform::skx_impi().without_pipeline();
     // Threshold 1 streams every size so the small points compare the two
-    // paths too; the chunk size is the production default (2 MiB).
-    let chunked = Platform::skx_impi().with_pipeline(1, 2 << 20);
+    // paths too; the chunk size is the production default (256 KiB).
+    let chunked = Platform::skx_impi().with_pipeline(1, 256 << 10);
     for shift in [16usize, 20, 24, 27] {
         let bytes = 1usize << shift;
         g.throughput(Throughput::Bytes(bytes as u64));

@@ -42,8 +42,6 @@ use nonctg_simnet::Platform;
 /// payload yields a 32-chunk stream, long enough that both ranks gather.
 /// The extra 8 bytes put odd cuts off the receiver's 16-byte block grid.
 const CHUNK_BYTES: &str = "131080";
-/// Streaming threshold forced well below the payload.
-const THRESHOLD_BYTES: &str = "1048576";
 /// Ping-pong repetitions.
 const REPS: usize = 3;
 
@@ -59,7 +57,6 @@ fn main() {
     // Must happen before any platform/selector use: both specs are
     // resolved once per process.
     set_default("NONCTG_PIPELINE_CHUNK", CHUNK_BYTES);
-    set_default("NONCTG_PIPELINE_THRESHOLD", THRESHOLD_BYTES);
     set_default("NONCTG_DATAPATH", "pack");
 
     let platform = Platform::skx_impi();

@@ -222,23 +222,16 @@ impl std::fmt::Debug for PooledBuf {
 /// gather the receiver runs alongside the sender.
 #[derive(Debug)]
 pub(crate) enum Payload {
-    /// The whole packed message.
+    /// The whole packed message: eager and buffered sends, the contiguous
+    /// reference, and derived sends that do not stream (zero bytes, the
+    /// monolithic baseline, or a demoted or uncompiled route).
     Whole(PooledBuf),
-    /// Streamed rendezvous: the sender's source view, offered for a
-    /// gather. The receiver answers with a buffer of exactly the payload
-    /// (its own dense run, or a staging buffer it then unpacks) and both
-    /// ranks gather chunks straight into it; see `handoff`.
+    /// Every other derived rendezvous, plan or iovec route: the sender's
+    /// source view, offered for a gather. The receiver answers with a
+    /// buffer of exactly the payload (its own dense run, or a staging
+    /// buffer it then unpacks) and both ranks gather chunks straight into
+    /// it; see `handoff`.
     Chunked(Offer),
-    /// Iovec rendezvous: the sender gathered its regions into a pool
-    /// buffer in region order (exactly what a pack would produce), and
-    /// the receiver scatters them straight into its own regions without
-    /// an unpack pass. The virtual-time charges differ (per-region DMA
-    /// costs instead of a staging gather); the bytes delivered are
-    /// identical to a pack.
-    Iovec {
-        /// Region-ordered payload bytes (same bytes a pack would stage).
-        data: PooledBuf,
-    },
 }
 
 impl Payload {
@@ -247,7 +240,6 @@ impl Payload {
         match self {
             Payload::Whole(b) => b.len(),
             Payload::Chunked(offer) => offer.total(),
-            Payload::Iovec { data, .. } => data.len(),
         }
     }
 }

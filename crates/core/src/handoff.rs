@@ -1,16 +1,16 @@
 //! The shared handoff of one streamed rendezvous, and the gather it
 //! enables.
 //!
-//! A blocking derived send at or above the pipeline threshold posts its
-//! source view here, together with its envelope. The receiver answers
-//! once, under the handoff's lock, with a destination that holds exactly
-//! the payload: its own buffer when the receive plan is one dense run,
-//! otherwise a staging buffer it unpacks afterwards. Both ranks then take
-//! chunk indices `k` from one atomic cursor, and each gathers
-//! `[cut(k), cut(k+1))` with `PackPlan::pack_range_into` from the
-//! sender's buffer straight into that destination, on two cores. A
-//! receive that fails after matching drops the offer unanswered, which
-//! declines it: the sender gathers nothing.
+//! Every non-empty, non-buffered derived rendezvous send (plan or iovec
+//! route) posts its source view here, together with its envelope. The
+//! receiver answers once, under the handoff's lock, with a destination
+//! that holds exactly the payload: its own buffer when the receive plan
+//! is one dense run, otherwise a staging buffer it unpacks afterwards.
+//! Both ranks then take chunk indices `k` from one atomic cursor, and
+//! each gathers `[cut(k), cut(k+1))` with `PackPlan::pack_range_into`
+//! from the sender's buffer straight into that destination, on two
+//! cores. A receive that fails after matching drops the offer
+//! unanswered, which declines it: the sender gathers nothing.
 //!
 //! If the sender's deadline or the poison flag fires while the post is
 //! still unanswered, the sender revokes it under the same lock. A
@@ -107,6 +107,9 @@ struct Handoff {
     chunk: u64,
     n_chunks: u64,
     faults: ChunkFaults,
+    /// Whether the send took the iovec route (its receive is charged
+    /// as an iovec scatter).
+    iov: bool,
     sup: Arc<Supervision>,
     /// Claim cursor: the next chunk index to hand out.
     next: AtomicU64,
@@ -120,14 +123,16 @@ struct Handoff {
 
 /// Post `src` for a streamed send: `plan` gathers it from byte `origin`,
 /// cut into `chunk`-byte pieces aligned with [`PackPlan::align_chunk`].
-/// The caller has checked that the plan's span lies inside `src`. Returns
-/// the sender's guard and the offer that travels in the envelope.
+/// The caller has checked that the plan's span lies inside `src`. `iov`
+/// marks an iovec-route send. Returns the sender's guard and the offer
+/// that travels in the envelope.
 pub(crate) fn post<'a>(
     src: &'a [u8],
     origin: usize,
     plan: Arc<PackPlan>,
     chunk: u64,
     faults: ChunkFaults,
+    iov: bool,
     sup: Arc<Supervision>,
 ) -> (SendSide<'a>, Offer) {
     let total = plan.packed_len();
@@ -152,6 +157,7 @@ pub(crate) fn post<'a>(
         chunk,
         n_chunks,
         faults,
+        iov,
         sup,
         next: AtomicU64::new(0),
         done: AtomicU64::new(0),
@@ -441,6 +447,11 @@ impl Offer {
         self.0.total
     }
 
+    /// Whether the send took the iovec route.
+    pub(crate) fn iov(&self) -> bool {
+        self.0.iov
+    }
+
     /// Whether the send's corruption fault flips a payload byte in the
     /// destination.
     pub(crate) fn corrupts(&self) -> bool {
@@ -538,7 +549,7 @@ mod tests {
         let n = 61;
         let src: Vec<u8> = (0..2 * n as u32).map(|i| i as u8).collect();
         let mut dst = vec![0u8; n];
-        let (mut send, offer) = post(&src, 0, every_other(n), 4, faults(None), sup());
+        let (mut send, offer) = post(&src, 0, every_other(n), 4, faults(None), false, sup());
         let (sent, got) = std::thread::scope(|s| {
             let t = s.spawn(|| {
                 assert_eq!(
@@ -576,7 +587,7 @@ mod tests {
         let n = 32;
         let src = vec![7u8; 2 * n];
         let mut dst = vec![0u8; n];
-        let (send, offer) = post(&src, 0, every_other(n), 8, faults(Some(19)), sup());
+        let (send, offer) = post(&src, 0, every_other(n), 8, faults(Some(19)), false, sup());
         let recv = offer.direct(&mut dst, 1).unwrap();
         while recv.gather_next().is_some() {}
         recv.finish().unwrap();
@@ -590,7 +601,7 @@ mod tests {
         let n = 40;
         let src = vec![1u8; 2 * n];
         let mut dst = vec![0u8; n];
-        let (mut send, offer) = post(&src, 0, every_other(n), 8, faults(None), sup());
+        let (mut send, offer) = post(&src, 0, every_other(n), 8, faults(None), false, sup());
         std::thread::scope(|s| {
             let recv = offer.direct(&mut dst, 1).unwrap();
             assert!(recv.gather_next().is_some());
@@ -614,7 +625,7 @@ mod tests {
     fn revoked_post_is_never_read() {
         let src = vec![3u8; 16];
         let mut dst = vec![0u8; 8];
-        let (mut send, offer) = post(&src, 0, every_other(8), 4, faults(None), sup());
+        let (mut send, offer) = post(&src, 0, every_other(8), 4, faults(None), false, sup());
         assert!(matches!(
             send.await_answer(Instant::now()),
             Err(CoreError::Deadlock {
@@ -637,7 +648,7 @@ mod tests {
     fn staged_gather_unpacks_into_a_derived_layout() {
         let n = 48;
         let src: Vec<u8> = (0..2 * n as u32).map(|i| i as u8).collect();
-        let (mut send, offer) = post(&src, 0, every_other(n), 5, faults(None), sup());
+        let (mut send, offer) = post(&src, 0, every_other(n), 5, faults(None), false, sup());
         let mut staging = vec![0u8; offer.total()];
         std::thread::scope(|s| {
             let t = s.spawn(|| {
@@ -665,7 +676,7 @@ mod tests {
     #[test]
     fn dropped_offer_declines() {
         let src = vec![0u8; 16];
-        let (mut send, offer) = post(&src, 0, every_other(8), 4, faults(None), sup());
+        let (mut send, offer) = post(&src, 0, every_other(8), 4, faults(None), false, sup());
         drop(offer);
         assert_eq!(
             send.await_answer(Instant::now() + Duration::from_secs(5)),

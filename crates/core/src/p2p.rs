@@ -6,8 +6,11 @@
 //!   handshake (sender-determined availability);
 //! * larger messages rendezvous — the sender blocks on a real back-channel
 //!   until the receiver matches and reports the transfer completion time;
-//! * non-contiguous datatypes are staged through an internal buffer whose
-//!   cost degrades beyond a few tens of MB (the paper's §4.1 observation);
+//! * non-contiguous datatypes are charged as staged through an internal
+//!   buffer whose cost degrades beyond a few tens of MB (the paper's §4.1
+//!   observation); in wall-clock every non-empty derived rendezvous (plan
+//!   or iovec route) moves once, both ranks gathering chunks straight
+//!   from the sender's buffer (see `handoff`);
 //! * `bsend` stages through the user-attached buffer, completes locally,
 //!   and the transfer proceeds asynchronously — at a measurable extra cost
 //!   (§4.2).
@@ -174,11 +177,13 @@ enum Route {
     /// A derived type gathered whole by the uncompiled interpreter: the
     /// element engine, or the plan-compile fault rung.
     Uncompiled,
-    /// A large derived rendezvous streamed in chunks of this plan.
+    /// A derived rendezvous charged as staged, whose bytes both ranks
+    /// gather through the handoff in chunks of this plan.
     Stream(Arc<PackPlan>),
-    /// Iovec: charged as a NIC gather of these `(offset, len)` regions
-    /// of this shape; the bytes still stage through a pool buffer.
-    Iov(Vec<(i64, u64)>, RegionShape),
+    /// Iovec: charged as a NIC gather of a region list of this shape; the
+    /// bytes move through the handoff in chunks of this plan, as for
+    /// [`Route::Stream`].
+    Iov(Arc<PackPlan>, RegionShape),
 }
 
 /// Every choice one send makes, taken by [`decide_send`] before anything
@@ -228,9 +233,10 @@ fn decide_send(
         buffered: matches!(mode, SendMode::Buffered),
     };
     let eager = kind.eager(p, bytes);
-    // Wall-clock pipelining: a large derived-type rendezvous streams its
-    // payload in chunks that both ranks gather at once. A buffered send
-    // completes locally and so never streams.
+    // Wall-clock pipelining: a derived-type rendezvous at or above the
+    // threshold (by default every non-empty one) streams its payload in
+    // chunks that both ranks gather at once. A buffered send completes
+    // locally and so never streams.
     let route = if contiguous {
         Route::Contiguous
     } else if !eager && !kind.buffered && bytes >= p.effective_pipeline().threshold_bytes {
@@ -304,25 +310,29 @@ fn decide_send(
     // one past the iovec cap (ddtbench WRF halos routinely are).
     if !contiguous {
         let compiled = !matches!(d.route, Route::Uncompiled);
-        let regions = (compiled && kind.iov_eligible(p, bytes))
+        let lowered = (compiled && kind.iov_eligible(p, bytes))
             .then(|| dt::plan_for(dtype, count))
             .flatten()
-            .map(|pl| pl.regions(selector::iov_max_regions()));
-        let bounded = regions.as_ref().and_then(Option::as_ref);
-        let shape = bounded.map(|r| RegionShape::of(r, p.mem.cacheline));
+            .map(|pl| {
+                let shape = pl
+                    .regions(selector::iov_max_regions())
+                    .map(|r| RegionShape::of(&r, p.mem.cacheline));
+                (pl, shape)
+            });
+        let shape = lowered.as_ref().and_then(|l| l.1);
         let choice = selector::select(p, bytes, kind, || shape);
         d.selected = (p.effective_datapath() == Datapath::Auto).then_some(choice);
-        match (choice, regions, shape) {
-            (Datapath::Iov, Some(Some(regions)), Some(shape)) if !d.pool_fault => {
-                d.route = Route::Iov(regions, shape)
+        match (choice, lowered) {
+            (Datapath::Iov, Some((plan, Some(shape)))) if !d.pool_fault => {
+                d.route = Route::Iov(plan, shape)
             }
             // Iovec rung: without its staging pool, or past the region
             // cap, an iovec choice demotes to pack, counted and traced.
             // (Eager and plan-failure sends never were iovec-eligible and
             // stay silent; the latter already counts `plan_fallbacks`.)
-            (Datapath::Iov, Some(_), _) => d.faults.iovec_demotions = 1,
+            (Datapath::Iov, Some(_)) => d.faults.iovec_demotions = 1,
             // The uncompiled engine: no plan, no streaming.
-            (Datapath::Elem, _, _) => d.route = Route::Uncompiled,
+            (Datapath::Elem, _) => d.route = Route::Uncompiled,
             _ => {}
         }
     }
@@ -332,17 +342,13 @@ fn decide_send(
 /// How a matched receive moves its payload into the user buffer: the
 /// receive twin of [`Route`] (mpicd's `UnpackMethod`).
 enum Mover {
-    /// The unpack engine: a whole payload, an iovec payload whose
-    /// receive layout has no bounded region list, or a streamed payload
-    /// that both ranks first gather into a staging buffer.
+    /// The unpack engine: a whole payload, or a streamed payload that
+    /// both ranks first gather into a staging buffer.
     Unpack,
     /// The receive plan is one dense run, starting at this buffer byte,
     /// of exactly the streamed payload: both ranks gather it straight
     /// from the sender's buffer.
     Direct(usize),
-    /// Scatter an iovec payload straight into the receiver's own
-    /// `(offset, len)` regions.
-    Scatter(Vec<(i64, u64)>),
 }
 
 /// The virtual-time charge of placing a payload that is not one
@@ -414,50 +420,33 @@ fn decide_recv(
         }
     };
     let incoming = if dtype.size() == 0 { 0 } else { total / dtype.size() as usize };
-    let mover = match &env.payload {
-        Payload::Whole(_) => Mover::Unpack,
-        Payload::Chunked(_) => {
-            let run = dt::plan_for(dtype, incoming).and_then(|pl| pl.regions(1));
-            match run.as_deref() {
+    let (mover, iov_shape) = match &env.payload {
+        Payload::Whole(_) => (Mover::Unpack, None),
+        Payload::Chunked(offer) => {
+            let plan = dt::plan_for(dtype, incoming);
+            let run = plan.as_ref().and_then(|pl| pl.regions(1));
+            let mover = match run.as_deref() {
                 Some(&[(off, len)]) if len as usize == total => {
                     Mover::Direct((origin as i64 + off) as usize)
                 }
                 _ => Mover::Unpack,
-            }
+            };
+            // An iovec payload is charged as scattered into the
+            // receiver's own regions (the sender's only describe the
+            // sender's layout); without a bounded list, as unpacked.
+            let shape = plan
+                .filter(|_| offer.iov())
+                .and_then(|pl| pl.regions(selector::iov_max_regions()))
+                .map(|r| RegionShape::of(&r, p.mem.cacheline));
+            (mover, shape)
         }
-        // The receiver's own plan over its own type (the sender's regions
-        // only describe the sender's layout); without a bounded region
-        // list, the unpack engine. The payload bytes are pack-ordered
-        // either way.
-        Payload::Iovec { .. } => dt::plan_for(dtype, incoming)
-            .and_then(|pl| pl.regions(selector::iov_max_regions()))
-            .map_or(Mover::Unpack, Mover::Scatter),
     };
     let scatter = if dtype.is_contiguous_run(incoming as u64) {
         None
-    } else if let Mover::Scatter(regions) = &mover {
-        Some(ScatterCharge::Shaped(RegionShape::of(regions, p.mem.cacheline)))
     } else {
-        Some(ScatterCharge::Modeled)
+        Some(iov_shape.map_or(ScatterCharge::Modeled, ScatterCharge::Shaped))
     };
     Ok(RecvDecision { done, incoming, mover, scatter })
-}
-
-/// Scatter pack-ordered `data` into the `(offset, len)` regions of `buf`
-/// from byte `origin`, stopping when the data runs out; returns the bytes
-/// placed. The caller has checked the span the regions cover.
-fn scatter(data: &[u8], regions: &[(i64, u64)], buf: &mut [u8], origin: usize) -> usize {
-    let mut pos = 0usize;
-    for &(off, len) in regions {
-        if pos >= data.len() {
-            break;
-        }
-        let len = (len as usize).min(data.len() - pos);
-        let lo = (origin as i64 + off) as usize;
-        buf[lo..lo + len].copy_from_slice(&data[pos..pos + len]);
-        pos += len;
-    }
-    pos
 }
 
 impl Comm {
@@ -621,16 +610,31 @@ impl Comm {
         }
         let sig = dtype.signature().scaled(count as u64)?;
 
+        let faults = |plan| ChunkFaults { plan, rank: me, op, corrupt_idx: d.corrupt_idx };
         match d.route {
-            Route::Iov(regions, shape) => {
-                return self.iovec_send(
-                    buf, origin, &regions, shape, bytes, p, dst, tag, sig, d.corrupt_idx,
-                )
+            Route::Iov(plan, shape) => {
+                // No staging gather is charged: the sender pays a
+                // per-region descriptor cost and the modelled NIC
+                // DMA-gathers the regions on the wire. Per-region charges
+                // are exact (no jitter draws), so the iovec clock is a
+                // pure function of the region list's shape. Iovec sends
+                // take no chunk faults.
+                self.charge_exact(p.send_overhead(false));
+                self.charge_exact(p.iov_overhead_shaped(shape.n, shape.subline));
+                self.cache = CacheState::Warm;
+                let wire = p.iov_wire_time(bytes, shape.n) * self.jitter.factor();
+                return self.stream_send(buf, origin, plan, wire, faults(None), true, dst, tag, sig);
             }
             Route::Stream(plan) => {
-                return self.stream_send(
-                    buf, origin, plan, bytes, &access, warm, p, dst, tag, sig, d.corrupt_idx, op,
-                )
+                // Charged exactly as the monolithic derived path below.
+                let t_stage = self.clock.now();
+                self.charge(p.staging_time(bytes, &access, warm));
+                self.trace(EventKind::Stage, t_stage, None, bytes as usize, None);
+                self.charge_exact(p.send_overhead(false));
+                self.cache = CacheState::Warm;
+                let wire = p.wire_time(bytes, 1.0) * self.jitter.factor();
+                let f = faults(p.fault.clone());
+                return self.stream_send(buf, origin, plan, wire, f, false, dst, tag, sig);
             }
             Route::Contiguous | Route::Plan | Route::Uncompiled => {}
         }
@@ -819,39 +823,30 @@ impl Comm {
     /// unpacks afterwards), and both ranks gather chunks straight into it
     /// (see `handoff`). A receive that fails after matching declines the
     /// offer; the rendezvous reply then carries its outcome to
-    /// `complete_send`. The virtual-time charges (staging, send overhead,
-    /// jittered wire) are issued before posting, in exactly the
-    /// monolithic derived-path order, so the cost model cannot tell the
-    /// paths apart. The caller has checked the source span.
+    /// `complete_send`. The caller has issued every virtual charge of its
+    /// route and drawn the jittered `wire`, so the cost model cannot tell
+    /// the mover apart from the monolithic one; it has also checked the
+    /// source span.
     #[allow(clippy::too_many_arguments)]
     fn stream_send(
         &mut self,
         buf: &[u8],
         origin: usize,
         plan: Arc<PackPlan>,
-        bytes: u64,
-        access: &Access,
-        warm: bool,
-        p: &Platform,
+        wire: f64,
+        faults: ChunkFaults,
+        iov: bool,
         dst: usize,
         tag: i32,
         sig: nonctg_datatype::Signature,
-        corrupt_idx: Option<usize>,
-        op: u64,
     ) -> Result<Completion> {
-        let t_stage = self.clock.now();
-        self.charge(p.staging_time(bytes, access, warm));
-        self.trace(crate::trace::EventKind::Stage, t_stage, None, bytes as usize, None);
-        self.charge_exact(p.send_overhead(false));
-        self.cache = CacheState::Warm;
-        let wire = p.wire_time(bytes, 1.0) * self.jitter.factor();
         let (reply_tx, reply_rx) = reply_channel();
         let proto = Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: reply_tx };
-        let chunk = p.effective_pipeline().chunk_bytes.max(1);
+        let chunk = self.fabric().platform.effective_pipeline().chunk_bytes;
         let sup = Arc::clone(&self.fabric().supervision);
         let me = self.rank();
-        let faults = ChunkFaults { plan: p.fault.clone(), rank: me, op, corrupt_idx };
-        let (mut side, offer) = handoff::post(buf, origin, plan, chunk, faults, Arc::clone(&sup));
+        let (mut side, offer) =
+            handoff::post(buf, origin, plan, chunk, faults, iov, Arc::clone(&sup));
         self.post(dst, tag, Payload::Chunked(offer), sig, proto, None);
 
         let deadline = Instant::now() + sup.timeout();
@@ -888,60 +883,6 @@ impl Comm {
         let side = offer.direct(dst, self.rank()).map_err(|e| self.fabric().enrich(e))?;
         self.gather_direct(|| side.gather_next(), src, tag);
         side.finish().map_err(|e| self.fabric().enrich(e))
-    }
-
-    /// Iovec rendezvous: no staging gather is charged — the sender pays a
-    /// per-region descriptor cost and the modelled NIC DMA-gathers the
-    /// user regions on the wire (`iov_wire_time`). In wall-clock the bytes
-    /// take two copies: gathered here into a pool buffer in region order
-    /// (exactly what a pack would produce), then scattered by the
-    /// receiver. Per-region charges are exact (no jitter draws) so the
-    /// iovec clock is a pure function of the region list's `shape`. The
-    /// caller has checked the source span.
-    #[allow(clippy::too_many_arguments)]
-    fn iovec_send(
-        &mut self,
-        buf: &[u8],
-        origin: usize,
-        regions: &[(i64, u64)],
-        shape: RegionShape,
-        bytes: u64,
-        p: &Platform,
-        dst: usize,
-        tag: i32,
-        sig: nonctg_datatype::Signature,
-        corrupt_idx: Option<usize>,
-    ) -> Result<Completion> {
-        self.charge_exact(p.send_overhead(false));
-        self.charge_exact(p.iov_overhead_shaped(shape.n, shape.subline));
-        self.cache = CacheState::Warm;
-        let wire = p.iov_wire_time(bytes, shape.n) * self.jitter.factor();
-
-        // The simulated NIC's DMA gather: region bytes move in region
-        // order, which is byte-for-byte the pack order of the plan the
-        // regions came from.
-        let mut data = self.fabric().pool.take(bytes as usize);
-        let mut pos = 0usize;
-        for &(off, len) in regions {
-            let lo = (origin as i64 + off) as usize;
-            let len = len as usize;
-            data[pos..pos + len].copy_from_slice(&buf[lo..lo + len]);
-            pos += len;
-        }
-        if crate::invariants::oracle_checks_enabled() && pos != bytes as usize {
-            crate::invariants::violation(&format!(
-                "iovec region lengths sum to {pos} but payload is {bytes} bytes"
-            ));
-        }
-        if let Some(idx) = corrupt_idx {
-            data[idx] ^= 0xFF;
-            data.poison();
-        }
-
-        let (tx, rx) = reply_channel();
-        let proto = Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: tx };
-        self.post(dst, tag, Payload::Iovec { data }, sig, proto, None);
-        Ok(Completion::Pending(rx))
     }
 
     fn reserve_bsend(&mut self, needed: u64) -> Result<(Arc<AtomicU64>, u64)> {
@@ -1063,9 +1004,7 @@ impl Comm {
         // Real delivery into the user layout.
         let (total, n, env_src, env_tag) = (env.payload.len(), d.incoming, env.src, env.tag);
         let consumed = match (d.mover, env.payload) {
-            (Mover::Unpack, Payload::Whole(data) | Payload::Iovec { data }) => {
-                dt::unpack_from(&data, dtype, n, buf, origin)?
-            }
+            (Mover::Unpack, Payload::Whole(data)) => dt::unpack_from(&data, dtype, n, buf, origin)?,
             (Mover::Direct(lo), Payload::Chunked(offer)) => {
                 self.gather_offer(offer, &mut buf[lo..lo + total], env_src, env_tag)?;
                 total
@@ -1079,9 +1018,6 @@ impl Comm {
                 }
                 self.gather_offer(offer, &mut staging, env_src, env_tag)?;
                 dt::unpack_from(&staging, dtype, n, buf, origin)?
-            }
-            (Mover::Scatter(regions), Payload::Iovec { data }) => {
-                scatter(&data, &regions, buf, origin)
             }
             _ => unreachable!("decide_recv picks a mover for the payload it saw"),
         };

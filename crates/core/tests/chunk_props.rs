@@ -8,9 +8,9 @@
 //! baseline with `Platform::without_pipeline()`. Jitter stays ON: bit-equal
 //! times prove both paths consume the same jitter draws in the same order.
 
-use nonctg_core::{EventKind, TraceEvent, Universe};
-use nonctg_datatype::{as_bytes, as_bytes_mut, Datatype};
-use nonctg_simnet::{FaultPlan, Platform};
+use nonctg_core::{Comm, EventKind, TraceEvent, Universe};
+use nonctg_datatype::{as_bytes, as_bytes_mut, pack_into_uncompiled, Datatype};
+use nonctg_simnet::{Datapath, FaultPlan, Platform};
 use proptest::prelude::*;
 
 /// How rank 1 receives the strided payload. The first four receive
@@ -269,11 +269,11 @@ fn carry_across_fit_boundary_matches_monolithic() {
     assert_eq!((s_c, r_c), (s_m, r_m), "virtual clocks diverged");
 }
 
-/// The default configuration: a standard `send` above the 4 MiB threshold
-/// streams, and its virtual time is bit-equal to the monolithic path.
+/// The default configuration: a standard derived `send` streams, and its
+/// virtual time is bit-equal to the monolithic path.
 #[test]
 fn default_threshold_send_is_bit_equal() {
-    let elems = 1 << 20; // 8 MiB packed — above NONCTG_PIPELINE_THRESHOLD.
+    let elems = 1 << 20; // 8 MiB packed: 32 chunks of the default 256 KiB.
     let run = |p: Platform| {
         Universe::run(p, 2, move |comm| {
             if comm.rank() == 0 {
@@ -291,8 +291,8 @@ fn default_threshold_send_is_bit_equal() {
             }
         })
     };
-    // Default platform (env-driven threshold, 4 MiB unless overridden) vs.
-    // explicitly disabled pipeline.
+    // Default platform (env-driven threshold, one byte unless overridden)
+    // vs. explicitly disabled pipeline.
     let chunked = run(Platform::skx_impi());
     let mono = run(Platform::skx_impi().without_pipeline());
     assert_eq!(chunked, mono);
@@ -360,5 +360,149 @@ fn every_receive_mode_gathers_on_both_ranks() {
         );
         let bytes: usize = markers.iter().flatten().map(|e| e.bytes).sum();
         assert_eq!(bytes, total, "{recv_mode:?}");
+    }
+}
+
+/// Rank 0 runs `send`, rank 1 runs `recv`, both traced; returns the sorted
+/// `Chunk` sequence numbers of both ranks together.
+fn chunk_seqs(
+    p: Platform,
+    send: impl Fn(&mut Comm) + Send + Sync,
+    recv: impl Fn(&mut Comm) + Send + Sync,
+) -> Vec<u32> {
+    let per_rank = Universe::run(p, 2, |comm| {
+        comm.enable_trace();
+        if comm.rank() == 0 {
+            send(comm);
+        } else {
+            recv(comm);
+        }
+        comm.take_trace()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::Chunk)
+            .map(|e| e.seq.unwrap())
+            .collect::<Vec<_>>()
+    });
+    let mut seqs = per_rank.concat();
+    seqs.sort_unstable();
+    seqs
+}
+
+/// Every other `f64` of a `2 * elems`-element source.
+fn every_other_f64(elems: usize) -> (Vec<f64>, Datatype) {
+    let src = (0..2 * elems).map(|e| e as f64).collect();
+    let t = Datatype::vector(elems, 1, 2, &Datatype::f64()).unwrap().commit();
+    (src, t)
+}
+
+/// On the default platform a 1 MiB derived rendezvous into a contiguous
+/// receive moves through the handoff: four 256 KiB chunks, each gathered
+/// once across the two ranks.
+#[test]
+fn default_derived_rendezvous_rides_the_handoff() {
+    let elems = (1 << 20) / 8;
+    let (src, t) = every_other_f64(elems);
+    let seqs = chunk_seqs(
+        Platform::skx_impi(),
+        |comm| comm.send(as_bytes(&src), 0, &t, 1, 1, 5).unwrap(),
+        |comm| {
+            let mut buf = vec![0.0f64; elems];
+            comm.recv_slice(&mut buf, Some(0), Some(5)).unwrap();
+            assert!(buf.iter().enumerate().all(|(i, &v)| v == (2 * i) as f64));
+        },
+    );
+    assert_eq!(seqs, [0, 1, 2, 3]);
+}
+
+/// An eager derived send at the eager limit and a 1 MiB buffered send
+/// complete without a rendezvous, so neither streams.
+#[test]
+fn eager_and_buffered_sends_do_not_stream() {
+    let p = Platform::skx_impi();
+    let eager = (64 << 10) / 8;
+    assert!((eager * 8) as u64 <= p.eager_threshold(false), "must be eager");
+    let (src, t) = every_other_f64(eager);
+    let seqs = chunk_seqs(
+        p.clone(),
+        |comm| comm.send(as_bytes(&src), 0, &t, 1, 1, 5).unwrap(),
+        |comm| {
+            let mut buf = vec![0.0f64; eager];
+            comm.recv_slice(&mut buf, Some(0), Some(5)).unwrap();
+        },
+    );
+    assert_eq!(seqs, []);
+
+    let big = (1 << 20) / 8;
+    let (src, t) = every_other_f64(big);
+    let seqs = chunk_seqs(
+        p,
+        |comm| {
+            comm.buffer_attach(Comm::bsend_size(&t, 1).unwrap()).unwrap();
+            comm.bsend(as_bytes(&src), 0, &t, 1, 1, 5).unwrap();
+        },
+        |comm| {
+            let mut buf = vec![0.0f64; big];
+            comm.recv_slice(&mut buf, Some(0), Some(5)).unwrap();
+            assert!(buf.iter().enumerate().all(|(i, &v)| v == (2 * i) as f64));
+        },
+    );
+    assert_eq!(seqs, []);
+}
+
+/// A zero-count derived `ssend` rendezvouses with nothing to gather: it
+/// stays on the whole-payload mover and completes.
+#[test]
+fn zero_count_derived_ssend_completes() {
+    let (_, t) = every_other_f64(4);
+    let seqs = chunk_seqs(
+        Platform::skx_impi().with_deadlock_timeout(5.0),
+        |comm| comm.ssend(&[], 0, &t, 0, 1, 5).unwrap(),
+        |comm| {
+            let st = comm.recv(&mut [], 0, &t, 0, Some(0), Some(5)).unwrap();
+            assert_eq!(st.bytes, 0);
+        },
+    );
+    assert_eq!(seqs, []);
+}
+
+/// A forced iovec send moves its bytes through the handoff too: the
+/// oracle's payload arrives in a contiguous and in a derived receive, in
+/// four chunks each. Iovec sends take no chunk faults, so a plan that
+/// faults every chunk leaves `chunk_retries` at zero.
+#[test]
+fn iovec_send_rides_the_handoff_without_chunk_faults() {
+    // 512 regions of 2 KiB: 1 MiB packed, under the iovec region cap.
+    let t = Datatype::vector(512, 256, 320, &Datatype::f64()).unwrap().commit();
+    let extent = t.extent() as usize;
+    let src: Vec<u8> = (0..extent).map(|i| (i * 131 + 7) as u8).collect();
+    let mut oracle = vec![0u8; t.size() as usize];
+    pack_into_uncompiled(&src, 0, &t, 1, &mut oracle).unwrap();
+    let faulty = FaultPlan::quiet(3).with_chunk_faults(1.0, 0.0);
+    let base = Platform::skx_impi().with_datapath(Datapath::Iov).with_deadlock_timeout(5.0);
+    for p in [base.clone(), base.with_fault_plan(faulty)] {
+        for derived in [false, true] {
+            let seqs = chunk_seqs(
+                p.clone(),
+                |comm| {
+                    comm.send(&src, 0, &t, 1, 1, 5).unwrap();
+                    assert_eq!(comm.fault_stats().chunk_retries, 0);
+                },
+                |comm| {
+                    let got = if derived {
+                        let mut buf = vec![0u8; extent];
+                        comm.recv(&mut buf, 0, &t, 1, Some(0), Some(5)).unwrap();
+                        let mut packed = vec![0u8; oracle.len()];
+                        pack_into_uncompiled(&buf, 0, &t, 1, &mut packed).unwrap();
+                        packed
+                    } else {
+                        let mut buf = vec![0u8; oracle.len()];
+                        comm.recv_bytes(&mut buf, Some(0), Some(5)).unwrap();
+                        buf
+                    };
+                    assert!(got == oracle, "iovec bytes differ from the oracle");
+                },
+            );
+            assert_eq!(seqs, [0, 1, 2, 3], "derived receive: {derived}");
+        }
     }
 }

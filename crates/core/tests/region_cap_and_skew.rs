@@ -51,7 +51,10 @@ fn skewed_blocks() -> (Datatype, Vec<u8>) {
 }
 
 /// One-way send 0 -> 1; returns (rank-1 buffer, rank-0 fault stats,
-/// max virtual time across ranks, rank-0 trace event kinds).
+/// max virtual time across ranks, rank-0 trace event kinds). Which rank
+/// gathers a chunk of a streamed send is a race, so the `Chunk` markers
+/// are left out of the kinds and checked here instead: across both ranks
+/// every chunk index appears exactly once.
 fn one_way(
     platform: Platform,
     dtype: Datatype,
@@ -59,19 +62,26 @@ fn one_way(
 ) -> (Vec<u8>, FaultStats, f64, Vec<EventKind>) {
     let n = src.len();
     let mut results = Universe::run_supervised(platform, 2, move |comm| {
-        if comm.rank() == 0 {
-            comm.enable_trace();
+        comm.enable_trace();
+        let buf = if comm.rank() == 0 {
             comm.send(&src, 0, &dtype, 1, 1, 0)?;
-            let kinds = comm.take_trace().into_iter().map(|e| e.kind).collect();
-            Ok((Vec::new(), comm.fault_stats(), comm.wtime(), kinds))
+            Vec::new()
         } else {
             let mut buf = vec![0u8; n];
             comm.recv(&mut buf, 0, &dtype, 1, Some(0), Some(0))?;
-            Ok((buf, comm.fault_stats(), comm.wtime(), Vec::new()))
-        }
+            buf
+        };
+        let (chunks, rest): (Vec<_>, Vec<_>) =
+            comm.take_trace().into_iter().partition(|e| e.kind == EventKind::Chunk);
+        let kinds = rest.into_iter().map(|e| e.kind).collect();
+        let seqs: Vec<u32> = chunks.into_iter().map(|e| e.seq.unwrap()).collect();
+        Ok((buf, comm.fault_stats(), comm.wtime(), kinds, seqs))
     });
-    let (r1, _, t1, _) = results.pop().unwrap().unwrap();
-    let (_, stats0, t0, trace) = results.pop().unwrap().unwrap();
+    let (r1, _, t1, _, seqs1) = results.pop().unwrap().unwrap();
+    let (_, stats0, t0, trace, seqs0) = results.pop().unwrap().unwrap();
+    let mut seqs = [seqs0, seqs1].concat();
+    seqs.sort_unstable();
+    assert!(seqs.iter().copied().eq(0..seqs.len() as u32), "chunk indices {seqs:?}");
     (r1, stats0, t0.max(t1), trace)
 }
 

@@ -28,8 +28,9 @@ pub const DEFAULT_DEADLOCK_TIMEOUT_S: f64 = 60.0;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineSpec {
     /// Packed payload size in bytes at or above which a blocking
-    /// rendezvous send streams its payload chunk-by-chunk while the
-    /// receiver unpacks in place. `u64::MAX` disables streaming.
+    /// derived-type rendezvous send streams its payload: both ranks
+    /// gather it chunk by chunk through the shared handoff. `u64::MAX`
+    /// disables streaming (the monolithic baseline).
     pub threshold_bytes: u64,
     /// Target chunk size in bytes (each chunk end is aligned down to a
     /// pack-plan block boundary).
@@ -37,10 +38,13 @@ pub struct PipelineSpec {
 }
 
 impl PipelineSpec {
-    /// Default streaming threshold (4 MiB).
-    pub const DEFAULT_THRESHOLD: u64 = 4 << 20;
-    /// Default chunk size (2 MiB).
-    pub const DEFAULT_CHUNK: u64 = 2 << 20;
+    /// Default streaming threshold (one byte): every non-empty,
+    /// non-buffered derived rendezvous moves through the handoff, one
+    /// copy split over both ranks. A zero-byte send stays monolithic.
+    pub const DEFAULT_THRESHOLD: u64 = 1;
+    /// Default chunk size (256 KiB): a 1 MiB payload is four chunks that
+    /// both ranks claim.
+    pub const DEFAULT_CHUNK: u64 = 256 << 10;
 
     /// A spec that never streams.
     pub fn disabled() -> PipelineSpec {
